@@ -5,6 +5,7 @@ import org.apache.spark.sql.functions._
 import repro.data.ERDataset
 import repro.index.{EmbView, ExactIndex, NnIndex, SparkKnn}
 import repro.text.HashEmbedding
+import repro.util.Par
 
 /** One candidate pair surfaced by blocking; `dist` is the smallest squared-L2
   * distance across the committee members that retrieved it.
@@ -21,10 +22,13 @@ final case class CandPair(rId: Int, sId: Int, dist: Double)
   */
 object Blocker {
 
-  /** Per-member exact index over R built from driver-side base embeddings. */
+  /** Per-member exact index over R built from driver-side base embeddings.
+    * Each index is a pure function of its view, so the members' indexes are
+    * built concurrently.
+    */
   def buildIndexes(rBase: Array[Array[Double]], views: IndexedSeq[EmbView]): IndexedSeq[NnIndex] = {
     val ids = Array.tabulate(rBase.length)(identity)
-    views.map(v => new ExactIndex(ids, rBase.map(v.apply)): NnIndex)
+    Par.tabulate(views.length)(k => new ExactIndex(ids, rBase.map(views(k).apply)): NnIndex)
   }
 
   /** Retrieve CAND via the fused committee scan.

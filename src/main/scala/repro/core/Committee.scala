@@ -2,7 +2,7 @@ package repro.core
 
 import repro.index.EmbView
 import repro.ml.{Adam, Mlp, Vec}
-import repro.util.Rnd
+import repro.util.{Par, Rnd}
 
 /** Blocker training objective (paper §3.2.3 and Table 5 ablation). */
 sealed trait Objective
@@ -95,7 +95,6 @@ object Committee {
       lr: Double = 0.01,
       margin: Double = 1.0,
       weightDecay: Double = 0.0,
-      attract: Double = 0.0,
   )
 
   private def simNegSq(a: Array[Double], b: Array[Double]): Double = -Vec.distSq(a, b)
@@ -104,79 +103,117 @@ object Committee {
     * matcher-adapted E_Θ(x)); negatives are drawn per `cfg.negMode` from the
     * full lists (`rPool`, `sPool`) or from the actively-labeled negatives.
     * Returns the mean loss of the final epoch (for tests/monitoring).
+    *
+    * The members train concurrently (see [[trainWithHeads]]); the result does
+    * not depend on the number of threads.
     */
   def train(c: Committee, cfg: TrainConfig,
             pos: IndexedSeq[(Array[Double], Array[Double])],
             rPool: IndexedSeq[Array[Double]], sPool: IndexedSeq[Array[Double]],
             labeledNegs: IndexedSeq[(Array[Double], Array[Double])],
-            rng: Rnd.Gen): Double = {
+            rng: Rnd.Gen): Double =
+    trainWithHeads(c, cfg, pos, rPool, sPool, labeledNegs, rng)._1
+
+  /** [[train]], also returning each member's classification head.
+    *
+    * Every draw from `rng` is taken up front as index arrays, in the order a
+    * member-after-member loop would take them: per step, the epoch's
+    * permutation (first step only), the shared negative draw (paper §3.2.2),
+    * then each member's own shuffles of it. None of them reads member state,
+    * so each member then runs its whole step sequence, with its own optimiser,
+    * as an independent task. The loss is summed afterwards in (step, member)
+    * order, so the result is bit-identical to the sequential loop.
+    */
+  private[core] def trainWithHeads(c: Committee, cfg: TrainConfig,
+            pos: IndexedSeq[(Array[Double], Array[Double])],
+            rPool: IndexedSeq[Array[Double]], sPool: IndexedSeq[Array[Double]],
+            labeledNegs: IndexedSeq[(Array[Double], Array[Double])],
+            rng: Rnd.Gen): (Double, IndexedSeq[Array[Double]]) = {
     require(pos.nonEmpty, "cannot train blocker with no positives")
     if (cfg.negMode == LabeledNegs) require(labeledNegs.nonEmpty, "no labeled negatives")
     val d = c.members.head.d
-    val adams = c.members.map(m => new Adam(m.u.length, cfg.lr, weightDecay = cfg.weightDecay))
-    // classification objective keeps a per-member linear head on [u; v; |u−v|]
-    val heads = c.members.indices.map { k =>
-      val g = new Rnd.Gen(Rnd.combine(0xC1A55L, k))
-      Array.fill(3 * d + 1)(0.01 * g.nextGaussian())
+    val stepsPerEpoch = (pos.length + cfg.batch - 1) / cfg.batch
+    val steps = cfg.epochs * stepsPerEpoch
+    def batchSize(step: Int): Int = {
+      val off = (step % stepsPerEpoch) * cfg.batch
+      math.min(off + cfg.batch, pos.length) - off
     }
-    val headAdams = heads.map(h => new Adam(h.length, cfg.lr))
 
-    var lastLoss = 0.0
-    var epoch = 0
-    while (epoch < cfg.epochs) {
-      val order = rng.permutation(pos.length)
-      var off = 0
-      var epochLoss = 0.0
-      var nTerms = 0
-      while (off < pos.length) {
-        val end = math.min(off + cfg.batch, pos.length)
-        val batchPos = (off until end).map(i => pos(order(i)))
-        val b = batchPos.length
-        // shared random/labeled negative draw for this step (paper §3.2.2)
-        val (negR, negS) = cfg.negMode match {
+    val orders = new Array[Array[Int]](cfg.epochs)
+    val negA = new Array[Array[Int]](steps) // rPool (RandomNegs) or labeledNegs indices
+    val negB = new Array[Array[Int]](steps) // sPool indices (RandomNegs)
+    // each member shuffles the negative records independently — except in
+    // LabeledNegs mode, where the hard pairs stay intact
+    val shuffles = Array.ofDim[Array[Int]](c.n, 2 * steps)
+    var step = 0
+    while (step < steps) {
+      if (step % stepsPerEpoch == 0) orders(step / stepsPerEpoch) = rng.permutation(pos.length)
+      val b = batchSize(step)
+      cfg.negMode match {
+        case RandomNegs =>
+          negA(step) = Array.fill(b)(rng.nextInt(rPool.length))
+          negB(step) = Array.fill(b)(rng.nextInt(sPool.length))
+          var k = 0
+          while (k < c.n) {
+            shuffles(k)(2 * step) = rng.permutation(b)
+            shuffles(k)(2 * step + 1) = rng.permutation(b)
+            k += 1
+          }
+        case LabeledNegs =>
+          negA(step) = Array.fill(b)(rng.nextInt(labeledNegs.length))
+      }
+      step += 1
+    }
+
+    val perMember = Par.tabulate(c.n) { k =>
+      val member = c.members(k)
+      val adam = new Adam(member.u.length, cfg.lr, weightDecay = cfg.weightDecay)
+      // classification objective keeps a per-member linear head on [u; v; |u−v|]
+      val head = {
+        val g = new Rnd.Gen(Rnd.combine(0xC1A55L, k))
+        Array.fill(3 * d + 1)(0.01 * g.nextGaussian())
+      }
+      val headAdam = new Adam(head.length, cfg.lr)
+      val lastEpoch = new Array[Double](stepsPerEpoch) // per-step losses, final epoch
+      var step = 0
+      while (step < steps) {
+        val order = orders(step / stepsPerEpoch)
+        val off = (step % stepsPerEpoch) * cfg.batch
+        val batchPos = (off until off + batchSize(step)).map(i => pos(order(i)))
+        val (nr, ns) = cfg.negMode match {
           case RandomNegs =>
-            (IndexedSeq.fill(b)(rPool(rng.nextInt(rPool.length))),
-             IndexedSeq.fill(b)(sPool(rng.nextInt(sPool.length))))
+            val rIdx = negA(step); val sIdx = negB(step)
+            (shuffles(k)(2 * step).toIndexedSeq.map(j => rPool(rIdx(j))),
+             shuffles(k)(2 * step + 1).toIndexedSeq.map(j => sPool(sIdx(j))))
           case LabeledNegs =>
-            val drawn = IndexedSeq.fill(b)(labeledNegs(rng.nextInt(labeledNegs.length)))
+            val drawn = negA(step).toIndexedSeq.map(labeledNegs)
             (drawn.map(_._1), drawn.map(_._2))
         }
-        var k = 0
-        while (k < c.n) {
-          val member = c.members(k)
-          // each member shuffles the negative records independently —
-          // except in LabeledNegs mode, where the hard pairs stay intact
-          val (nr, ns) = cfg.negMode match {
-            case RandomNegs =>
-              val pr = rng.permutation(b); val ps = rng.permutation(b)
-              (pr.toIndexedSeq.map(negR), ps.toIndexedSeq.map(negS))
-            case LabeledNegs => (negR, negS)
-          }
-          val loss = cfg.objective match {
-            case Contrastive =>
-              contrastiveStep(member, adams(k), batchPos, nr, ns, cfg.attract)
-            case Triplet =>
-              tripletStep(member, adams(k), batchPos, nr, ns, cfg.margin)
-            case Classification =>
-              classificationStep(member, adams(k), heads(k), headAdams(k), batchPos, nr, ns)
-          }
-          epochLoss += loss; nTerms += 1
-          k += 1
+        lastEpoch(step % stepsPerEpoch) = cfg.objective match {
+          case Contrastive => contrastiveStep(member, adam, batchPos, nr, ns)
+          case Triplet => tripletStep(member, adam, batchPos, nr, ns, cfg.margin)
+          case Classification => classificationStep(member, adam, head, headAdam, batchPos, nr, ns)
         }
-        off = end
+        step += 1
       }
-      lastLoss = epochLoss / math.max(1, nTerms)
-      epoch += 1
+      (lastEpoch, head)
     }
-    lastLoss
+
+    var epochLoss = 0.0
+    step = 0
+    while (step < stepsPerEpoch) {
+      var k = 0
+      while (k < c.n) { epochLoss += perMember(k)._1(step); k += 1 }
+      step += 1
+    }
+    (epochLoss / math.max(1, stepsPerEpoch * c.n), perMember.map(_._2))
   }
 
   private def contrastiveStep(m: Member, adam: Adam,
                               pos: IndexedSeq[(Array[Double], Array[Double])],
                               negR: IndexedSeq[Array[Double]],
-                              negS: IndexedSeq[Array[Double]],
-                              attract: Double): Double = {
-    val (loss, gU) = contrastiveLossGrad(m, pos, negR, negS, attract)
+                              negS: IndexedSeq[Array[Double]]): Double = {
+    val (loss, gU) = contrastiveLossGrad(m, pos, negR, negS)
     adam.step(m.u, gU)
     loss
   }
@@ -187,8 +224,7 @@ object Committee {
   private[core] def contrastiveLossGrad(m: Member,
                               pos: IndexedSeq[(Array[Double], Array[Double])],
                               negR: IndexedSeq[Array[Double]],
-                              negS: IndexedSeq[Array[Double]],
-                              attract: Double = 0.0): (Double, Array[Double]) = {
+                              negS: IndexedSeq[Array[Double]]): (Double, Array[Double]) = {
     val b = pos.length
     val nb = negR.length
     // forward all distinct records once
@@ -229,14 +265,6 @@ object Committee {
           dv(t) += w * (2.0 * diff)
           t += 1
         }
-      }
-      // optional explicit alignment term λ·dist²(rp, sp): keeps pulling
-      // duplicates together after the softmax has been "won", driving the
-      // contraction of the nuisance (boilerplate) subspace to completion
-      if (attract > 0) {
-        total += attract * Vec.distSq(rp(p), sp(p))
-        // L_att = λ·dist² = −λ·sim, so dL/dsim = −λ
-        addSimGrad(-attract, rp(p), sp(p), dRp(p), dSp(p))
       }
       val w0 = exps(0) / sum - 1.0
       addSimGrad(w0, rp(p), sp(p), dRp(p), dSp(p))

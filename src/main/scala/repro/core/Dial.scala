@@ -181,10 +181,10 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
 
   private def retrieve(matcher: Matcher, committee: Option[Committee]): (IndexedSeq[CandPair], Double) = {
     def timed(views: IndexedSeq[EmbView]): (IndexedSeq[CandPair], Double) = {
-      val idx = Blocker.buildIndexes(embedder.rBase, views)
+      // Table 9 "Indexing & Retrieval": the clock covers the index build
       val t0 = System.nanoTime()
-      val kEff = cfg.k
-      val cand = Blocker.retrieveCand(spark, ds, sDf, emb, views, idx, kEff, candSize)
+      val idx = Blocker.buildIndexes(embedder.rBase, views)
+      val cand = Blocker.retrieveCand(spark, ds, sDf, emb, views, idx, cfg.k, candSize)
       (cand, (System.nanoTime() - t0) / 1e9)
     }
     cfg.blockerMode match {
@@ -344,8 +344,8 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
     val matcher = trainMatcher(t, round = 1, cfg.matcherEpochs)
     val committee = trainCommittee(t, matcher, round = 1, n, cfg.objective, cfg.negMode)
     val views = committee.members.map(m => new MemberView(matcher.g, m): EmbView)
-    val idx = Blocker.buildIndexes(embedder.rBase, views)
     val t0 = System.nanoTime()
+    val idx = Blocker.buildIndexes(embedder.rBase, views)
     val cand = Blocker.retrieveCand(spark, ds, sDf, emb, views, idx, cfg.k, candSize)
     val (_, scoreSec) = scoreCand(matcher, cand)
     val retrieveSec = (System.nanoTime() - t0) / 1e9 - scoreSec

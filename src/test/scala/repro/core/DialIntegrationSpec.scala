@@ -62,6 +62,9 @@ class DialIntegrationSpec extends SparkSpec {
     val a = new Dial(spark, ds, fastCfg).run()
     val b = new Dial(spark, ds, fastCfg).run()
     assert(strip(a) == strip(b))
+    // a committee larger than the core count trains its members in waves
+    val wide = fastCfg.copy(committeeN = 10)
+    assert(strip(new Dial(spark, ds, wide).run()) == strip(new Dial(spark, ds, wide).run()))
   }
 
   test("different selectors select different labels but all complete") {
