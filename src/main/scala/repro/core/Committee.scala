@@ -92,10 +92,12 @@ object Committee {
       negMode: NegMode = RandomNegs,
       epochs: Int = 120,
       batch: Int = 16,
-      lr: Double = 0.01,
-      margin: Double = 1.0,
-      weightDecay: Double = 0.0,
   )
+
+  /** AdamW learning rate of the members and the classification heads. */
+  private[core] val Lr = 0.01
+  /** Triplet-loss margin (Table 5 ablation). */
+  private[core] val Margin = 1.0
 
   private def simNegSq(a: Array[Double], b: Array[Double]): Double = -Vec.distSq(a, b)
 
@@ -167,13 +169,13 @@ object Committee {
 
     val perMember = Par.tabulate(c.n) { k =>
       val member = c.members(k)
-      val adam = new Adam(member.u.length, cfg.lr, weightDecay = cfg.weightDecay)
+      val adam = new Adam(member.u.length, Lr, weightDecay = 0.0)
       // classification objective keeps a per-member linear head on [u; v; |u−v|]
       val head = {
         val g = new Rnd.Gen(Rnd.combine(0xC1A55L, k))
         Array.fill(3 * d + 1)(0.01 * g.nextGaussian())
       }
-      val headAdam = new Adam(head.length, cfg.lr)
+      val headAdam = new Adam(head.length, Lr)
       val lastEpoch = new Array[Double](stepsPerEpoch) // per-step losses, final epoch
       var step = 0
       while (step < steps) {
@@ -191,7 +193,7 @@ object Committee {
         }
         lastEpoch(step % stepsPerEpoch) = cfg.objective match {
           case Contrastive => contrastiveStep(member, adam, batchPos, nr, ns)
-          case Triplet => tripletStep(member, adam, batchPos, nr, ns, cfg.margin)
+          case Triplet => tripletStep(member, adam, batchPos, nr, ns)
           case Classification => classificationStep(member, adam, head, headAdam, batchPos, nr, ns)
         }
         step += 1
@@ -297,9 +299,8 @@ object Committee {
   private def tripletStep(m: Member, adam: Adam,
                           pos: IndexedSeq[(Array[Double], Array[Double])],
                           negR: IndexedSeq[Array[Double]],
-                          negS: IndexedSeq[Array[Double]],
-                          margin: Double): Double = {
-    val (loss, gU) = tripletLossGrad(m, pos, negR, negS, margin)
+                          negS: IndexedSeq[Array[Double]]): Double = {
+    val (loss, gU) = tripletLossGrad(m, pos, negR, negS, Margin)
     adam.step(m.u, gU)
     loss
   }

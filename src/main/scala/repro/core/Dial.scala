@@ -1,7 +1,7 @@
 package repro.core
 
+import java.util.IdentityHashMap
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.col
 import repro.data.ERDataset
 import repro.index.{EmbView, ExactIndex, SparkKnn}
 import repro.rules.RulesBlocker
@@ -152,21 +152,29 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
     m
   }
 
-  private def trainCommittee(t: IndexedSeq[LabeledPair], matcher: Matcher,
-                             round: Int, n: Int, objective: Objective,
-                             negMode: NegMode): Committee = {
-    val com = Committee.init(n, d, cfg.maskP,
-      Rnd.combine(cfg.seed, 300 + round) + (if (cfg.blockerMode == SentenceBertMode) 17 else 0))
+  /** Trains `n` members with mask fraction `maskP` on T, over the
+    * matcher-adapted embeddings; the init and training seeds are offset by
+    * `initSeed` and `trainSeed` plus the round.
+    */
+  private def trainCommittee(t: IndexedSeq[LabeledPair], matcher: Matcher, round: Int,
+                             n: Int, maskP: Double, initSeed: Int, trainSeed: Int,
+                             tc: Committee.TrainConfig): Committee = {
+    val com = Committee.init(n, d, maskP, Rnd.combine(cfg.seed, initSeed + round))
     val g = matcher.g
     val pos = t.filter(_.y).map(lp => (embedder.adaptedR(lp.rId, g), embedder.adaptedS(lp.sId, g)))
     val negs = t.filterNot(_.y).map(lp => (embedder.adaptedR(lp.rId, g), embedder.adaptedS(lp.sId, g)))
     val rPool = ds.r.indices.map(i => embedder.adaptedR(i, g))
     val sPool = ds.s.indices.map(i => embedder.adaptedS(i, g))
-    Committee.train(com,
-      Committee.TrainConfig(objective = objective, negMode = negMode, epochs = cfg.blockerEpochs),
-      pos, rPool, sPool, negs, new Rnd.Gen(Rnd.combine(cfg.seed, 400 + round)))
+    Committee.train(com, tc, pos, rPool, sPool, negs,
+      new Rnd.Gen(Rnd.combine(cfg.seed, trainSeed + round)))
     com
   }
+
+  /** DIAL's committee (IBC). */
+  private def ibcCommittee(t: IndexedSeq[LabeledPair], matcher: Matcher, round: Int): Committee =
+    trainCommittee(t, matcher, round, cfg.committeeN, cfg.maskP, initSeed = 300, trainSeed = 400,
+      Committee.TrainConfig(objective = cfg.objective, negMode = cfg.negMode,
+                            epochs = cfg.blockerEpochs))
 
   // ------------------------------------------------------------ retrieval
 
@@ -176,43 +184,33 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
     sDfCache
   }
 
-  /** Memoized fixed candidate sets (PairedFixed / Rules do not change). */
-  private var fixedCand: Option[(IndexedSeq[CandPair], Double)] = None
-
-  private def retrieve(matcher: Matcher, committee: Option[Committee]): (IndexedSeq[CandPair], Double) = {
-    def timed(views: IndexedSeq[EmbView]): (IndexedSeq[CandPair], Double) = {
-      // Table 9 "Indexing & Retrieval": the clock covers the index build
-      val t0 = System.nanoTime()
-      val idx = Blocker.buildIndexes(embedder.rBase, views)
-      val cand = Blocker.retrieveCand(spark, ds, sDf, emb, views, idx, cfg.k, candSize)
-      (cand, (System.nanoTime() - t0) / 1e9)
-    }
-    cfg.blockerMode match {
-      case PairedFixedMode =>
-        fixedCand match {
-          case Some(c) => c
-          case None =>
-            val c = timed(IndexedSeq(new PlainView))
-            fixedCand = Some(c); c
-        }
-      case PairedAdaptMode =>
-        timed(IndexedSeq(new ScaleView(matcher.g)))
-      case SentenceBertMode =>
-        timed(IndexedSeq(new MemberView(matcher.g, committee.get.members.head)))
-      case IbcMode =>
-        timed(committee.get.members.map(m => new MemberView(matcher.g, m): EmbView))
-      case RulesMode =>
-        fixedCand match {
-          case Some(c) => c
-          case None =>
-            val t0 = System.nanoTime()
-            val pairs = Dial.rulesFor(spark, ds)
-            val sec = (System.nanoTime() - t0) / 1e9
-            val c = (pairs.map { case (a, b) => CandPair(a, b, 0.0) }, sec)
-            fixedCand = Some(c); c
-        }
-    }
+  /** Table 9 "Indexing & Retrieval": the clock covers the index build. */
+  private def timedRetrieve(views: IndexedSeq[EmbView]): (IndexedSeq[CandPair], Double) = {
+    val t0 = System.nanoTime()
+    val idx = Blocker.buildIndexes(embedder.rBase, views)
+    val cand = Blocker.retrieveCand(spark, ds, sDf, emb, views, idx, cfg.k, candSize)
+    (cand, (System.nanoTime() - t0) / 1e9)
   }
+
+  private def ibcViews(matcher: Matcher, committee: Committee): IndexedSeq[EmbView] =
+    committee.members.map(m => new MemberView(matcher.g, m): EmbView)
+
+  /** The fixed candidate set of PairedFixed / Rules, computed once. */
+  private lazy val fixedCand: (IndexedSeq[CandPair], Double) =
+    if (cfg.blockerMode == RulesMode) {
+      val t0 = System.nanoTime()
+      val pairs = Dial.rulesFor(spark, ds)
+      (pairs.map { case (a, b) => CandPair(a, b, 0.0) }, (System.nanoTime() - t0) / 1e9)
+    } else timedRetrieve(IndexedSeq(new PlainView))
+
+  private def retrieve(matcher: Matcher, committee: Option[Committee]): (IndexedSeq[CandPair], Double) =
+    cfg.blockerMode match {
+      case PairedFixedMode | RulesMode => fixedCand
+      case PairedAdaptMode => timedRetrieve(IndexedSeq(new ScaleView(matcher.g)))
+      case SentenceBertMode =>
+        timedRetrieve(IndexedSeq(new MemberView(matcher.g, committee.get.members.head)))
+      case IbcMode => timedRetrieve(ibcViews(matcher, committee.get))
+    }
 
   // -------------------------------------------------------------- scoring
 
@@ -278,10 +276,13 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
 
       val tc0 = System.nanoTime()
       val committee = cfg.blockerMode match {
-        case IbcMode =>
-          Some(trainCommittee(t, matcher, round, cfg.committeeN, cfg.objective, cfg.negMode))
+        case IbcMode => Some(ibcCommittee(t, matcher, round))
         case SentenceBertMode =>
-          Some(trainCommitteeSbert(t, matcher, round))
+          // SentenceBERT baseline: a single full-dimension head trained with
+          // the classification objective on the actively-labeled T (§4.3)
+          Some(trainCommittee(t, matcher, round, n = 1, maskP = 1.0, initSeed = 900, trainSeed = 950,
+            Committee.TrainConfig(objective = Classification, negMode = LabeledNegs,
+                                  epochs = cfg.blockerEpochs)))
         case _ => None
       }
       val committeeSec = (System.nanoTime() - tc0) / 1e9
@@ -320,35 +321,16 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
               finalTest, finalAll, lastTimes, findAllSec, t.length)
   }
 
-  private def trainCommitteeSbert(t: IndexedSeq[LabeledPair], matcher: Matcher, round: Int): Committee = {
-    // SentenceBERT baseline: a single full-dimension head trained with the
-    // classification objective on the actively-labeled data T (see §4.3).
-    val com = Committee.init(1, d, maskP = 1.0, Rnd.combine(cfg.seed, 900 + round))
-    val g = matcher.g
-    val pos = t.filter(_.y).map(lp => (embedder.adaptedR(lp.rId, g), embedder.adaptedS(lp.sId, g)))
-    val negs = t.filterNot(_.y).map(lp => (embedder.adaptedR(lp.rId, g), embedder.adaptedS(lp.sId, g)))
-    val rPool = ds.r.indices.map(i => embedder.adaptedR(i, g))
-    val sPool = ds.s.indices.map(i => embedder.adaptedS(i, g))
-    Committee.train(com,
-      Committee.TrainConfig(objective = Classification, negMode = LabeledNegs,
-                            epochs = cfg.blockerEpochs),
-      pos, rPool, sPool, negs, new Rnd.Gen(Rnd.combine(cfg.seed, 950 + round)))
-    com
-  }
-
-  /** One timed "find all duplicates" pass at a given committee size, after a
-    * single training on the seed set (paper Table 10: testing time vs N).
+  /** One timed "find all duplicates" pass of a `cfg.committeeN` committee,
+    * after a single training on the seed set (paper Table 10: testing time
+    * vs N).
     */
-  def timedFindAll(n: Int): Double = {
+  def timedFindAll(): Double = {
     val t = seedSet()
     val matcher = trainMatcher(t, round = 1, cfg.matcherEpochs)
-    val committee = trainCommittee(t, matcher, round = 1, n, cfg.objective, cfg.negMode)
-    val views = committee.members.map(m => new MemberView(matcher.g, m): EmbView)
-    val t0 = System.nanoTime()
-    val idx = Blocker.buildIndexes(embedder.rBase, views)
-    val cand = Blocker.retrieveCand(spark, ds, sDf, emb, views, idx, cfg.k, candSize)
+    val committee = ibcCommittee(t, matcher, round = 1)
+    val (cand, retrieveSec) = timedRetrieve(ibcViews(matcher, committee))
     val (_, scoreSec) = scoreCand(matcher, cand)
-    val retrieveSec = (System.nanoTime() - t0) / 1e9 - scoreSec
     cleanup()
     retrieveSec + scoreSec
   }
@@ -358,19 +340,22 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
   }
 }
 
+/** Per-dataset memos, keyed on the dataset instance: two generated datasets
+  * of equal name and sizes (e.g. two seeds at one scale) hold different
+  * records, and an equality key would hash every record on each lookup.
+  */
 object Dial {
-  private val embedders = mutable.HashMap.empty[(String, Int, Int, Int), Embedder]
-  private val rulesCache = mutable.HashMap.empty[(String, Int, Int), IndexedSeq[(Int, Int)]]
+  private val embedders = new IdentityHashMap[ERDataset, mutable.HashMap[Int, Embedder]]
+  private val rulesCache = new IdentityHashMap[ERDataset, IndexedSeq[(Int, Int)]]
 
   /** Base embeddings are a pure function of (dataset, dim) — share across runs. */
   def embedderFor(ds: ERDataset, dim: Int): Embedder = synchronized {
-    embedders.getOrElseUpdate((ds.name, ds.r.size, ds.s.size, dim),
+    embedders.computeIfAbsent(ds, _ => mutable.HashMap.empty).getOrElseUpdate(dim,
       new Embedder(new HashEmbedding(dim, 42L, ds.germanToEnglish), ds))
   }
 
   /** Rule candidate sets are fixed per dataset — share across runs. */
   def rulesFor(spark: SparkSession, ds: ERDataset): IndexedSeq[(Int, Int)] = synchronized {
-    rulesCache.getOrElseUpdate((ds.name, ds.r.size, ds.s.size),
-      RulesBlocker.candidates(spark, ds))
+    rulesCache.computeIfAbsent(ds, _ => RulesBlocker.candidates(spark, ds))
   }
 }

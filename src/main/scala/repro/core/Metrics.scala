@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.data.{ERDataset, TestPair}
+import repro.data.TestPair
 
 /** Precision/recall/F1 from confusion counts. All figures in [0, 100]. */
 final case class PRF(tp: Long, fp: Long, fn: Long) {
@@ -15,8 +14,7 @@ final case class PRF(tp: Long, fp: Long, fn: Long) {
 }
 
 /** The paper's three evaluation measures (§4.1): CAND recall, test-set F1,
-  * and all-pairs F1. Driver-side versions are used inside the AL loop; the
-  * Spark versions are oracle-checked equivalents used on DataFrames.
+  * and all-pairs F1, computed on the driver inside the AL loop.
   */
 object Metrics {
 
@@ -47,24 +45,5 @@ object Metrics {
       else if (!pred && t.label) fn += 1
     }
     PRF(tp, fp, fn)
-  }
-
-  /** Spark equivalent of [[allPairs]] over (rid, sid) DataFrames; verified
-    * against DuckDB in the test suite and against the driver-side version.
-    */
-  def allPairsSpark(spark: SparkSession, predicted: DataFrame, gold: DataFrame): PRF = {
-    val p = predicted.select("rid", "sid").distinct()
-    val g = gold.select("rid", "sid").distinct()
-    val tp = p.join(g, Seq("rid", "sid"), "inner").count()
-    PRF(tp, p.count() - tp, g.count() - tp)
-  }
-
-  /** Spark CAND recall over (rid, sid) DataFrames. */
-  def candRecallSpark(spark: SparkSession, cand: DataFrame, gold: DataFrame): Double = {
-    val g = gold.select("rid", "sid").distinct()
-    val total = g.count()
-    if (total == 0) 0.0
-    else 100.0 * cand.select("rid", "sid").distinct()
-      .join(g, Seq("rid", "sid"), "inner").count() / total
   }
 }

@@ -7,11 +7,11 @@ import repro.forest.RfAl
 import repro.jedai.JedaiPipelines
 import scala.collection.mutable
 
-/** Table runners shared by `bench/` (sbt "bench/test") and `jobs/`
-  * (spark-submit). Every runner returns printable rows pairing the paper's
-  * number with ours; AL runs are memoized so rows shared across tables
-  * (e.g. Table 2's DIAL = Table 4's "Random" = Table 5's "Contrastive")
-  * are computed once per JVM.
+/** The paper's table runners, registered once in [[tables]] and run either
+  * by `bench/` (sbt "bench/test") or by [[main]] (spark-submit). Every runner
+  * returns printable rows pairing the paper's number with ours; AL runs are
+  * memoized so rows shared across tables (e.g. Table 2's DIAL = Table 4's
+  * "Random" = Table 5's "Contrastive") are computed once per JVM.
   *
   * Env knobs: REPRO_SCALE (dataset scale, default 1.0 of the DESIGN.md §4
   * sizes), REPRO_ROUNDS (AL labeling rounds, default 4; paper 10),
@@ -237,7 +237,7 @@ object Experiments {
             "   | paper:" + PaperNumbers.dsKeys.map(k => f"$k%8s").mkString
     IndexedSeq(1, 3, 10).foreach { n =>
       val vals = benchmarks.map { ds =>
-        new Dial(spark, ds, cfgFor(ds).copy(committeeN = n)).timedFindAll(n)
+        new Dial(spark, ds, cfgFor(ds).copy(committeeN = n)).timedFindAll()
       }
       val paper = PaperNumbers.table10(n)
       rows += s"DIAL (N=$n)".padTo(14, ' ') + vals.map(v => f"$v%8.2f").mkString +
@@ -246,9 +246,36 @@ object Experiments {
     rows.toSeq
   }
 
+  /** Every table runner, by paper table id. */
+  val tables: IndexedSeq[(Int, SparkSession => Seq[String])] = IndexedSeq(
+    1 -> table1 _, 2 -> table2 _, 3 -> table3 _, 4 -> table4 _, 5 -> table5 _,
+    6 -> table6 _, 7 -> table7 _, 8 -> table8 _, 9 -> table9 _, 10 -> table10 _)
+
   def printTable(title: String, rows: Seq[String]): Unit = {
     println(s"\n==== $title ====")
     rows.foreach(println)
     println()
+  }
+
+  /** spark-submit entrypoint: prints the tables whose ids are given, in order,
+    * e.g. `spark-submit --class repro.exp.Experiments <jar> 2 9`. Every id is
+    * checked before Spark starts.
+    */
+  def main(args: Array[String]): Unit = {
+    val byId = tables.toMap
+    def invalid(got: String) = new IllegalArgumentException(
+      s"expected table ids, each one of ${tables.map(_._1).mkString(", ")}; got $got")
+    if (args.isEmpty) throw invalid("none")
+    val selected = args.toSeq.map(a => a.toIntOption.filter(byId.contains).getOrElse(throw invalid(s"'$a'")))
+    val spark = SparkSession.builder()
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName("dial-tables")
+      .config("spark.sql.shuffle.partitions",
+              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .config("spark.ui.enabled", "false")
+      .getOrCreate()
+    try selected.foreach(id => printTable(s"Table $id", byId(id)(spark)))
+    finally spark.stop()
   }
 }

@@ -4,14 +4,6 @@ import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types._
 import repro.text.HashEmbedding
 
-/** Encodes a record (its attribute values) into a d-dimensional vector.
-  * Implementations capture model parameters and must be serializable —
-  * they are broadcast to executors for the S-side retrieval scan.
-  */
-trait RecordEncoder extends Serializable {
-  def encode(attrs: Seq[String]): Array[Double]
-}
-
 /** A view over the shared base embedding E(x): identity (PairedFixed),
   * matcher scale g ⊙ · (PairedAdapt), or a committee member's head (IBC).
   * Views are cheap; the base encoding they share is the expensive part —
@@ -69,26 +61,6 @@ object SparkKnn {
           val q = vs(m)(base)
           idxs(m).search(q, k).iterator.map { case (rid, d) => Row(id, rid, d, m) }
         }
-      }
-    }
-    spark.createDataFrame(rdd, retrieveSchema)
-  }
-
-  /** Single-encoder convenience wrapper (used by tests and simple callers). */
-  def retrieve(spark: SparkSession, sDf: DataFrame, attrCols: Seq[String],
-               encoder: RecordEncoder, index: NnIndex, k: Int): DataFrame = {
-    import org.apache.spark.sql.functions.col
-    val bcEnc = spark.sparkContext.broadcast(encoder)
-    val bcIdx = spark.sparkContext.broadcast(index)
-    val projected = sDf.select((Seq("id") ++ attrCols).map(col): _*)
-    val rdd = projected.rdd.mapPartitions { rows =>
-      val enc = bcEnc.value
-      val idx = bcIdx.value
-      rows.flatMap { row =>
-        val id = row.getInt(0)
-        val attrs = (1 until row.length).map(i => Option(row.getString(i)).getOrElse(""))
-        val v = enc.encode(attrs)
-        idx.search(v, k).iterator.map { case (rid, d) => Row(id, rid, d, 0) }
       }
     }
     spark.createDataFrame(rdd, retrieveSchema)

@@ -20,12 +20,12 @@ class CommitteeTrainSpec extends AnyFunSuite {
                               labeledNegs: IndexedSeq[(Array[Double], Array[Double])],
                               rng: Rnd.Gen): (Double, IndexedSeq[Array[Double]]) = {
     val d = c.members.head.d
-    val adams = c.members.map(m => new Adam(m.u.length, cfg.lr, weightDecay = cfg.weightDecay))
+    val adams = c.members.map(m => new Adam(m.u.length, Committee.Lr, weightDecay = 0.0))
     val heads = c.members.indices.map { k =>
       val g = new Rnd.Gen(Rnd.combine(0xC1A55L, k))
       Array.fill(3 * d + 1)(0.01 * g.nextGaussian())
     }
-    val headAdams = heads.map(h => new Adam(h.length, cfg.lr))
+    val headAdams = heads.map(h => new Adam(h.length, Committee.Lr))
     var lastLoss = 0.0
     var epoch = 0
     while (epoch < cfg.epochs) {
@@ -59,7 +59,7 @@ class CommitteeTrainSpec extends AnyFunSuite {
               val (l, gU) = Committee.contrastiveLossGrad(m, batchPos, nr, ns)
               adams(k).step(m.u, gU); l
             case Triplet =>
-              val (l, gU) = Committee.tripletLossGrad(m, batchPos, nr, ns, cfg.margin)
+              val (l, gU) = Committee.tripletLossGrad(m, batchPos, nr, ns, Committee.Margin)
               adams(k).step(m.u, gU); l
             case Classification =>
               val (l, gU, gHead) = Committee.classificationLossGrad(m, heads(k), batchPos, nr, ns)

@@ -2,6 +2,8 @@ package repro.core
 
 import repro.SparkSpec
 import repro.data.ERDataGen
+import repro.rules.RulesBlocker
+import repro.text.HashEmbedding
 
 /** End-to-end mini AL runs exercising Algorithm 1 and every blocking mode. */
 class DialIntegrationSpec extends SparkSpec {
@@ -59,9 +61,10 @@ class DialIntegrationSpec extends SparkSpec {
 
   test("run is deterministic in config seed (metrics, not timings)") {
     def strip(r: RunResult) = (r.roundStats, r.candRecall, r.testPRF, r.allPRF, r.nLabeled)
-    val a = new Dial(spark, ds, fastCfg).run()
-    val b = new Dial(spark, ds, fastCfg).run()
-    assert(strip(a) == strip(b))
+    Seq(IbcMode, PairedFixedMode, PairedAdaptMode, SentenceBertMode, RulesMode).foreach { mode =>
+      val cfg = fastCfg.copy(blockerMode = mode)
+      assert(strip(new Dial(spark, ds, cfg).run()) == strip(new Dial(spark, ds, cfg).run()), mode.name)
+    }
     // a committee larger than the core count trains its members in waves
     val wide = fastCfg.copy(committeeN = 10)
     assert(strip(new Dial(spark, ds, wide).run()) == strip(new Dial(spark, ds, wide).run()))
@@ -88,7 +91,20 @@ class DialIntegrationSpec extends SparkSpec {
   }
 
   test("timedFindAll returns a positive duration and scales to N=4") {
-    val sec = new Dial(spark, ds, fastCfg).timedFindAll(2)
+    val sec = new Dial(spark, ds, fastCfg.copy(committeeN = 2)).timedFindAll()
     assert(sec > 0.0)
+  }
+
+  test("per-dataset memos tell apart datasets of equal name and sizes") {
+    val a = ERDataGen.walmartAmazon(seed = 11, scale = 0.05)
+    val b = ERDataGen.walmartAmazon(seed = 12, scale = 0.05)
+    assert(a.name == b.name && a.r.size == b.r.size && a.s.size == b.s.size && a.r != b.r)
+    new Dial(spark, a, fastCfg)
+    val rulesA = Dial.rulesFor(spark, a).sorted
+    val fresh = new Embedder(new HashEmbedding(fastCfg.embedDim, 42L, b.germanToEnglish), b)
+    assert(new Dial(spark, b, fastCfg).embedder.rBase.map(_.toSeq).toSeq == fresh.rBase.map(_.toSeq).toSeq)
+    val rulesB = RulesBlocker.candidates(spark, b).sorted
+    assert(rulesB != rulesA)
+    assert(Dial.rulesFor(spark, b).sorted == rulesB)
   }
 }

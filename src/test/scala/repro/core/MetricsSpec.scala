@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.types._
 import repro.{Oracle, SparkSpec}
-import repro.data.{ERDataGen, TestPair}
+import repro.data.TestPair
 
 class MetricsSpec extends SparkSpec {
 
@@ -47,20 +47,6 @@ class MetricsSpec extends SparkSpec {
     assert(prf == PRF(1, 1, 1))
   }
 
-  test("Spark allPairs equals driver allPairs") {
-    val pred = Seq((1, 1), (2, 2), (3, 3), (5, 7))
-    val gold = Seq((1, 1), (3, 3), (8, 8))
-    val sparkPrf = Metrics.allPairsSpark(spark, pairsDf(pred), pairsDf(gold))
-    assert(sparkPrf == Metrics.allPairs(pred.toSet, gold.toSet))
-  }
-
-  test("Spark candRecall equals driver candRecall") {
-    val cand = Seq((1, 1), (2, 2))
-    val gold = Seq((1, 1), (3, 3))
-    assert(Metrics.candRecallSpark(spark, pairsDf(cand), pairsDf(gold)) ==
-           Metrics.candRecall(cand, gold.toSet))
-  }
-
   test("true-positive join matches DuckDB (oracle)") {
     val pred = Seq((1, 1), (2, 2), (3, 3), (5, 7))
     val gold = Seq((1, 1), (3, 3), (8, 8))
@@ -82,13 +68,5 @@ class MetricsSpec extends SparkSpec {
       """SELECT count(*) AS fn FROM gold g
         |WHERE NOT EXISTS (SELECT 1 FROM pred p WHERE p.rid = g.rid AND p.sid = g.sid)""".stripMargin,
       "pred" -> pairsDf(pred), "gold" -> pairsDf(gold))
-  }
-
-  test("metrics on a generated dataset are consistent between Spark and driver") {
-    val ds = ERDataGen.dblpAcm(scale = 0.05)
-    val pred = ds.dups.take(20).toSeq ++ Seq((0, 0), (1, 1)).filterNot(ds.dups.contains)
-    val driver = Metrics.allPairs(pred.toSet, ds.dups)
-    val viaSpark = Metrics.allPairsSpark(spark, pairsDf(pred), ds.dupsDF(spark))
-    assert(driver == viaSpark)
   }
 }

@@ -1,9 +1,9 @@
 package repro.index
 
-import org.apache.spark.sql.Row
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types._
 import repro.{Oracle, SparkSpec}
-import repro.core.{PlainView}
+import repro.core.PlainView
 import repro.data.ERDataGen
 import repro.ml.Vec
 import repro.text.HashEmbedding
@@ -14,9 +14,13 @@ class SparkKnnSpec extends SparkSpec {
   private lazy val rVecs = ds.r.map(rec => emb.recordVec(rec.attrs)).toArray
   private lazy val index = new ExactIndex(Array.tabulate(ds.r.size)(identity), rVecs)
 
+  /** The single-view scan: plain base embeddings against `index`. */
+  private def retrievePlain(sDf: DataFrame, k: Int) =
+    SparkKnn.retrieveMulti(spark, sDf, ds.schema, emb, IndexedSeq(new PlainView),
+      IndexedSeq(index), k)
+
   test("retrieve returns k hits per S record") {
-    val out = SparkKnn.retrieve(spark, ds.sDF(spark), ds.schema,
-      new EmbRecordEncoder(emb), index, k = 3)
+    val out = retrievePlain(ds.sDF(spark), k = 3)
     val rows = out.collect()
     assert(rows.length == ds.s.size * 3)
     val perSid = rows.groupBy(_.getInt(0))
@@ -25,8 +29,7 @@ class SparkKnnSpec extends SparkSpec {
   }
 
   test("retrieve agrees with driver-side search") {
-    val out = SparkKnn.retrieve(spark, ds.sDF(spark), ds.schema,
-      new EmbRecordEncoder(emb), index, k = 2)
+    val out = retrievePlain(ds.sDF(spark), k = 2)
       .collect().map(r => (r.getInt(0), r.getInt(1), r.getDouble(2)))
       .groupBy(_._1)
     ds.s.take(20).foreach { rec =>
@@ -48,9 +51,7 @@ class SparkKnnSpec extends SparkSpec {
       StructType(Array(StructField("rid", IntegerType), StructField("sid", IntegerType),
                        StructField("dist", DoubleType))))
     val sDfSmall = ds.sDF(spark).filter(org.apache.spark.sql.functions.col("id") < 40)
-    val sparkTop = SparkKnn.retrieve(spark, sDfSmall, ds.schema,
-      new EmbRecordEncoder(emb), index, k)
-      .select("sid", "rid")
+    val sparkTop = retrievePlain(sDfSmall, k).select("sid", "rid")
     Oracle.assertEquivalent(
       sparkTop,
       s"""SELECT sid, rid FROM (
@@ -59,16 +60,6 @@ class SparkKnnSpec extends SparkSpec {
          |                            ORDER BY CAST(dist AS DOUBLE), CAST(rid AS INT)) AS rn
          |  FROM d) WHERE rn <= $k""".stripMargin,
       "d" -> distDf)
-  }
-
-  test("retrieveMulti with one PlainView equals single-encoder retrieve") {
-    val multi = SparkKnn.retrieveMulti(spark, ds.sDF(spark), ds.schema, emb,
-      IndexedSeq(new PlainView), IndexedSeq(index), k = 3)
-      .collect().map(r => (r.getInt(0), r.getInt(1))).toSet
-    val single = SparkKnn.retrieve(spark, ds.sDF(spark), ds.schema,
-      new EmbRecordEncoder(emb), index, k = 3)
-      .collect().map(r => (r.getInt(0), r.getInt(1))).toSet
-    assert(multi == single)
   }
 
   test("retrieveMulti tags hits with the member id") {
@@ -93,11 +84,7 @@ class SparkKnnSpec extends SparkSpec {
   }
 }
 
-/** Top-level helpers so Spark closures don't capture the test suite. */
-class EmbRecordEncoder(emb: HashEmbedding) extends RecordEncoder {
-  def encode(a: Seq[String]): Array[Double] = emb.recordVec(a)
-}
-
+/** Top-level helper so Spark closures don't capture the test suite. */
 class LengthScorer extends PairScorer {
   def prob(r: Seq[String], s: Seq[String]): Double = (r.head.length + s.head.length).toDouble
 }
