@@ -191,11 +191,16 @@ object Committee {
             val drawn = negA(step).toIndexedSeq.map(labeledNegs)
             (drawn.map(_._1), drawn.map(_._2))
         }
-        lastEpoch(step % stepsPerEpoch) = cfg.objective match {
-          case Contrastive => contrastiveStep(member, adam, batchPos, nr, ns)
-          case Triplet => tripletStep(member, adam, batchPos, nr, ns)
-          case Classification => classificationStep(member, adam, head, headAdam, batchPos, nr, ns)
+        val (loss, gU) = cfg.objective match {
+          case Contrastive => contrastiveLossGrad(member, batchPos, nr, ns)
+          case Triplet => tripletLossGrad(member, batchPos, nr, ns, Margin)
+          case Classification =>
+            val (loss, gU, gHead) = classificationLossGrad(member, head, batchPos, nr, ns)
+            headAdam.step(head, gHead)
+            (loss, gU)
         }
+        adam.step(member.u, gU)
+        lastEpoch(step % stepsPerEpoch) = loss
         step += 1
       }
       (lastEpoch, head)
@@ -209,15 +214,6 @@ object Committee {
       step += 1
     }
     (epochLoss / math.max(1, stepsPerEpoch * c.n), perMember.map(_._2))
-  }
-
-  private def contrastiveStep(m: Member, adam: Adam,
-                              pos: IndexedSeq[(Array[Double], Array[Double])],
-                              negR: IndexedSeq[Array[Double]],
-                              negS: IndexedSeq[Array[Double]]): Double = {
-    val (loss, gU) = contrastiveLossGrad(m, pos, negR, negS)
-    adam.step(m.u, gU)
-    loss
   }
 
   /** Mean loss and dLoss/dU of one contrastive mini-batch (paper Eq. 8).
@@ -296,15 +292,6 @@ object Committee {
     (total / b, gU)
   }
 
-  private def tripletStep(m: Member, adam: Adam,
-                          pos: IndexedSeq[(Array[Double], Array[Double])],
-                          negR: IndexedSeq[Array[Double]],
-                          negS: IndexedSeq[Array[Double]]): Double = {
-    val (loss, gU) = tripletLossGrad(m, pos, negR, negS, Margin)
-    adam.step(m.u, gU)
-    loss
-  }
-
   /** Mean loss and dLoss/dU of one triplet mini-batch (Table 5 ablation;
     * euclidean distance, margin 1, one negative per anchor, no mining).
     */
@@ -356,17 +343,6 @@ object Committee {
     }
     Vec.scaleI(gU, 1.0 / b)
     (total / b, gU)
-  }
-
-  private def classificationStep(m: Member, adam: Adam,
-                                 head: Array[Double], headAdam: Adam,
-                                 pos: IndexedSeq[(Array[Double], Array[Double])],
-                                 negR: IndexedSeq[Array[Double]],
-                                 negS: IndexedSeq[Array[Double]]): Double = {
-    val (loss, gU, gHead) = classificationLossGrad(m, head, pos, negR, negS)
-    adam.step(m.u, gU)
-    headAdam.step(head, gHead)
-    loss
   }
 
   /** Mean loss and gradients of one SentenceBERT-style classification batch

@@ -23,16 +23,15 @@ final case class TrainEx(er: Array[Double], es: Array[Double],
   * cross-entropy (Eq. 6) by AdamW — head and Θ(g) get separate learning
   * rates as in the paper (1e-3 head vs 3e-5 transformer, rescaled here).
   */
-final class Matcher(val d: Int, seed: Long,
-                    headLr: Double = 0.02, gLr: Double = 0.004,
-                    nHidden: Int = 32) extends Serializable {
+final class Matcher(val d: Int, seed: Long) extends Serializable {
+  import Matcher._
 
   val g: Array[Double] = Array.fill(d)(1.0)
   val nIn: Int = 2 * d + PairFeatures.nScalar
-  val mlp = new Mlp(nIn, nHidden, Rnd.combine(seed, 0xABCL))
+  val mlp = new Mlp(nIn, NHidden, Rnd.combine(seed, 0xABCL))
 
-  private val adamHead = new Adam(mlp.nParams, headLr)
-  private val adamG = new Adam(d, gLr, weightDecay = 0.0)
+  private val adamHead = new Adam(mlp.nParams, HeadLr)
+  private val adamG = new Adam(d, GLr, weightDecay = 0.0)
 
   /** Paired-mode feature vector from frozen base embeddings. */
   def features(er: Array[Double], es: Array[Double], scalars: Array[Double]): Array[Double] = {
@@ -82,27 +81,20 @@ final class Matcher(val d: Int, seed: Long,
     * on — no marginal duplicate would ever look informative.
     */
   def train(data: IndexedSeq[TrainEx], epochs: Int, batch: Int, rng: Rnd.Gen,
-            trainG: Boolean = true, labelSmooth: Double = 0.1): Double = {
-    val smoothed =
-      if (labelSmooth <= 0) data
-      else data.map(ex => ex.copy(y = ex.y * (1 - 2 * labelSmooth) + labelSmooth))
-    trainSmoothed(smoothed, epochs, batch, rng, trainG)
-  }
-
-  private def trainSmoothed(data: IndexedSeq[TrainEx], epochs: Int, batch: Int,
-                            rng: Rnd.Gen, trainG: Boolean): Double = {
+            trainG: Boolean = true): Double = {
+    val smoothed = data.map(ex => ex.copy(y = ex.y * (1 - 2 * LabelSmooth) + LabelSmooth))
     var lastEpochLoss = 0.0
     var e = 0
     while (e < epochs) {
-      val order = rng.permutation(data.length)
+      val order = rng.permutation(smoothed.length)
       var off = 0
       lastEpochLoss = 0.0
-      while (off < data.length) {
-        val end = math.min(off + batch, data.length)
+      while (off < smoothed.length) {
+        val end = math.min(off + batch, smoothed.length)
         val gHead = Vec.zeros(mlp.nParams)
         val gG = Vec.zeros(d)
         var i = off
-        while (i < end) { lastEpochLoss += backprop(data(order(i)), gHead, gG); i += 1 }
+        while (i < end) { lastEpochLoss += backprop(smoothed(order(i)), gHead, gG); i += 1 }
         val inv = 1.0 / (end - off)
         Vec.scaleI(gHead, inv); Vec.scaleI(gG, inv)
         val flat = mlp.toFlat
@@ -113,7 +105,7 @@ final class Matcher(val d: Int, seed: Long,
       }
       e += 1
     }
-    lastEpochLoss / math.max(1, data.length)
+    lastEpochLoss / math.max(1, smoothed.length)
   }
 
   /** BADGE gradient embedding: ∂ℓ(f(x), ŷ)/∂θ_out = (p − ŷ) · [h(x); 1]. */
@@ -128,6 +120,15 @@ final class Matcher(val d: Int, seed: Long,
     out(h.length) = p - yHat
     out
   }
+}
+
+object Matcher {
+  /** AdamW learning rates of the head and of Θ(g), and the head's width. */
+  private val HeadLr = 0.02
+  private val GLr = 0.004
+  private val NHidden = 32
+  /** Label-smoothing ε of the training targets. */
+  private val LabelSmooth = 0.1
 }
 
 /** Broadcastable pair scorer: recomputes embeddings + features in-task. */

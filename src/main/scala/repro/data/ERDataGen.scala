@@ -6,11 +6,9 @@ import repro.text.Tokenizer
 import repro.util.Rnd
 
 /** One entity record: `id` is unique within its list; `attrs` align with the
-  * dataset schema. `text` is the full string representation fed to the
-  * simulated TPLM (all attribute values concatenated, as DITTO serialises).
+  * dataset schema.
   */
 final case class Rec(id: Int, attrs: IndexedSeq[String]) {
-  def text: String = attrs.mkString(" ")
   def tokenSet: Set[String] = Tokenizer.recordTokens(attrs).toSet
 }
 
@@ -34,9 +32,8 @@ final case class ERDataset(
 
   private def toDF(spark: SparkSession, recs: IndexedSeq[Rec]): DataFrame = {
     val fields = StructField("id", IntegerType, nullable = false) +:
-      schema.map(a => StructField(a, StringType, nullable = false)) :+
-      StructField("text", StringType, nullable = false)
-    val rows = recs.map(rec => Row.fromSeq(rec.id +: rec.attrs :+ rec.text))
+      schema.map(a => StructField(a, StringType, nullable = false))
+    val rows = recs.map(rec => Row.fromSeq(rec.id +: rec.attrs))
     spark.createDataFrame(
       spark.sparkContext.parallelize(rows.toSeq, math.max(1, recs.size / 500)),
       StructType(fields.toArray))

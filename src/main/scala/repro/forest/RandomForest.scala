@@ -31,12 +31,11 @@ final class RandomForest(val trees: IndexedSeq[TreeNode]) extends Serializable {
 object RandomForest {
   /** Fit `nTrees` on bootstrap resamples of (xs, ys). */
   def fit(xs: IndexedSeq[Array[Double]], ys: IndexedSeq[Double],
-          nTrees: Int, seed: Long,
-          cfg: DecisionTree.Config = DecisionTree.Config()): RandomForest = {
+          nTrees: Int, seed: Long): RandomForest = {
     val trees = (0 until nTrees).map { t =>
       val rng = new Rnd.Gen(Rnd.combine(seed, t))
       val boot = Array.fill(xs.length)(rng.nextInt(xs.length))
-      DecisionTree.fit(xs, ys, boot, cfg, rng)
+      DecisionTree.fit(xs, ys, boot, DecisionTree.Config(), rng)
     }
     new RandomForest(trees.toIndexedSeq)
   }

@@ -15,13 +15,15 @@ import scala.collection.mutable
   */
 object RfAl {
 
+  /** Trees per forest. */
+  private val NTrees = 20
+  /** Seed of the seed set and of every forest. */
+  private val Seed = 7L
+
   def run(spark: SparkSession, ds: ERDataset,
-          rounds: Int = 4, budget: Int = 128, nTrees: Int = 20,
-          seed: Long = 7): RunResult = {
-    val rng = new Rnd.Gen(Rnd.combine(seed, Rnd.hash64(ds.name + "#rf")))
+          rounds: Int = 4, budget: Int = 128): RunResult = {
     val cand = Dial.rulesFor(spark, ds)
-    val candSet = cand.toSet
-    val dial = new Dial(spark, ds, DialConfig(seed = seed)) // shared seed-set sampler
+    val dial = new Dial(spark, ds, DialConfig(seed = Seed)) // shared seed-set sampler
     var t = dial.seedSet()
     val labeled = mutable.LinkedHashSet.empty[(Int, Int)]
     t.foreach(lp => labeled += ((lp.rId, lp.sId)))
@@ -33,7 +35,7 @@ object RfAl {
 
     def train(data: IndexedSeq[LabeledPair], roundSeed: Long): RandomForest =
       RandomForest.fit(data.map(lp => feat(lp.rId, lp.sId)),
-                       data.map(lp => if (lp.y) 1.0 else 0.0), nTrees, roundSeed)
+                       data.map(lp => if (lp.y) 1.0 else 0.0), NTrees, roundSeed)
 
     /** Distributed vote fractions over the whole candidate set. */
     def score(forest: RandomForest): Map[(Int, Int), Double] = {
@@ -54,7 +56,7 @@ object RfAl {
     var round = 1
     while (round <= rounds + 1) {
       val isFinal = round == rounds + 1
-      val forest = train(t, Rnd.combine(seed, round))
+      val forest = train(t, Rnd.combine(Seed, round))
       val t0 = System.nanoTime()
       val probs = score(forest)
       val sec = (System.nanoTime() - t0) / 1e9

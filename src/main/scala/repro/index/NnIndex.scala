@@ -80,7 +80,6 @@ final class IvfIndex(idsIn: Array[Int], vecsIn: Array[Array[Double]],
   }
 
   override def size: Int = ids.length
-  def numLists: Int = centroids.length
 
   override def search(q: Array[Double], k: Int): Array[(Int, Double)] = {
     val nc = centroids.length

@@ -1,48 +1,39 @@
 package repro.ml
 
-/** AdamW (Adam with decoupled weight decay) over a flat parameter array.
+/** AdamW (Adam with decoupled weight decay) over a flat parameter array, at
+  * a constant learning rate.
   *
   * This mirrors the paper's optimiser choice (Loshchilov & Hutter) for both
-  * the matcher head and the committee embedding layers. A linear learning
-  * rate schedule with no warm-up is applied when `totalSteps` is given, as in
-  * the paper's implementation details.
+  * the matcher head and the committee embedding layers.
   */
-final class Adam(
-    nParams: Int,
-    lr: Double,
-    beta1: Double = 0.9,
-    beta2: Double = 0.999,
-    eps: Double = 1e-8,
-    weightDecay: Double = 0.01,
-    totalSteps: Int = 0,
-) extends Serializable {
+final class Adam(nParams: Int, lr: Double, weightDecay: Double = 0.01) extends Serializable {
+  import Adam._
+
   private val m = new Array[Double](nParams)
   private val v = new Array[Double](nParams)
   private var t = 0
-
-  def stepsTaken: Int = t
-
-  /** Current learning rate under the linear decay schedule. */
-  def currentLr: Double =
-    if (totalSteps <= 0) lr
-    else lr * math.max(0.0, 1.0 - t.toDouble / totalSteps)
 
   /** Apply one update: params -= lr * (mhat / (sqrt(vhat) + eps) + wd * params). */
   def step(params: Array[Double], grad: Array[Double]): Unit = {
     require(params.length == nParams && grad.length == nParams,
       s"Adam.step: expected $nParams params, got ${params.length}/${grad.length}")
-    val lrT = currentLr
     t += 1
-    val bc1 = 1.0 - math.pow(beta1, t.toDouble)
-    val bc2 = 1.0 - math.pow(beta2, t.toDouble)
+    val bc1 = 1.0 - math.pow(Beta1, t.toDouble)
+    val bc2 = 1.0 - math.pow(Beta2, t.toDouble)
     var i = 0
     while (i < nParams) {
-      m(i) = beta1 * m(i) + (1 - beta1) * grad(i)
-      v(i) = beta2 * v(i) + (1 - beta2) * grad(i) * grad(i)
+      m(i) = Beta1 * m(i) + (1 - Beta1) * grad(i)
+      v(i) = Beta2 * v(i) + (1 - Beta2) * grad(i) * grad(i)
       val mh = m(i) / bc1
       val vh = v(i) / bc2
-      params(i) -= lrT * (mh / (math.sqrt(vh) + eps) + weightDecay * params(i))
+      params(i) -= lr * (mh / (math.sqrt(vh) + Eps) + weightDecay * params(i))
       i += 1
     }
   }
+}
+
+object Adam {
+  private val Beta1 = 0.9
+  private val Beta2 = 0.999
+  private val Eps = 1e-8
 }

@@ -45,15 +45,18 @@ object KMeans {
     chosen
   }
 
+  /** At most this many Lloyd iterations in [[fit]]. */
+  private val Iters = 15
+
   /** Lloyd iterations from k-means++ seeds; returns (centroids, assignment). */
-  def fit(points: IndexedSeq[Array[Double]], k: Int, seed: Long,
-          iters: Int = 15): (Array[Array[Double]], Array[Int]) = {
+  def fit(points: IndexedSeq[Array[Double]], k: Int,
+          seed: Long): (Array[Array[Double]], Array[Int]) = {
     val kk = math.min(k, points.length)
     var cents = ppSeeds(points, kk, seed).map(i => points(i).clone())
     val assign = new Array[Int](points.length)
     var it = 0
     var changed = true
-    while (it < iters && changed) {
+    while (it < Iters && changed) {
       changed = false
       var i = 0
       while (i < points.length) {

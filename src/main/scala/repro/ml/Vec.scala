@@ -29,14 +29,6 @@ object Vec {
     while (i < a.length) { a(i) *= alpha; i += 1 }
   }
 
-  def add(a: Array[Double], b: Array[Double]): Array[Double] = {
-    val r = a.clone(); axpyI(r, 1.0, b); r
-  }
-
-  def sub(a: Array[Double], b: Array[Double]): Array[Double] = {
-    val r = a.clone(); axpyI(r, -1.0, b); r
-  }
-
   /** Element-wise product. */
   def had(a: Array[Double], b: Array[Double]): Array[Double] = {
     require(a.length == b.length, s"had: ${a.length} vs ${b.length}")
@@ -55,28 +47,11 @@ object Vec {
     s
   }
 
-  def cosine(a: Array[Double], b: Array[Double]): Double = {
-    val na = l2(a); val nb = l2(b)
-    if (na == 0.0 || nb == 0.0) 0.0 else dot(a, b) / (na * nb)
-  }
-
   def mean(vs: Seq[Array[Double]]): Array[Double] = {
     require(vs.nonEmpty, "mean of empty set")
     val r = zeros(vs.head.length)
     vs.foreach(v => axpyI(r, 1.0, v))
     scaleI(r, 1.0 / vs.size)
     r
-  }
-
-  def concat(vs: Array[Double]*): Array[Double] = {
-    val r = new Array[Double](vs.map(_.length).sum)
-    var off = 0
-    vs.foreach { v => System.arraycopy(v, 0, r, off, v.length); off += v.length }
-    r
-  }
-
-  def tanhI(a: Array[Double]): Unit = {
-    var i = 0
-    while (i < a.length) { a(i) = math.tanh(a(i)); i += 1 }
   }
 }

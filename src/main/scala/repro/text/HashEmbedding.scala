@@ -16,7 +16,7 @@ import repro.util.Rnd
   *  - for the multilingual experiment, the encoder carries the EN↔pseudo-DE
   *    lexicon (standing in for mBERT's pretraining-acquired cross-lingual
   *    alignment): a German token embeds as its English source with a fixed
-  *    signed permutation applied to the upper `1 - alignFrac` fraction of
+  *    signed permutation applied to the upper `1 - AlignFrac` fraction of
   *    dimensions plus token-specific noise. Translations are thus *imperfectly*
   *    co-located — a learnable linear map (the committee member, Eq. 7) can
   *    recover alignment by reweighting/rotating the scrambled subspace, which
@@ -29,14 +29,13 @@ final class HashEmbedding(
     val d: Int = 64,
     val seed: Long = 42L,
     val germanToEnglish: Map[String, String] = Map.empty,
-    val alignFrac: Double = 0.4,
-    val crossNoise: Double = 0.55,
 ) extends Serializable {
+  import HashEmbedding._
 
   @transient private lazy val cache =
     new java.util.concurrent.ConcurrentHashMap[String, Array[Double]]()
 
-  private val alignDim = math.max(0, math.min(d, (d * alignFrac).toInt))
+  private val alignDim = math.max(0, math.min(d, (d * AlignFrac).toInt))
 
   // Fixed signed permutation of the unaligned dimensions [alignDim, d).
   private val (permIdx, permSign) = {
@@ -83,7 +82,7 @@ final class HashEmbedding(
         // token-specific pretraining noise
         val g = new Rnd.Gen(Rnd.combine(Rnd.hash64(token), Rnd.combine(seed, 3L)))
         var j = 0
-        while (j < d) { out(j) += crossNoise * g.nextGaussian() / math.sqrt(d.toDouble); j += 1 }
+        while (j < d) { out(j) += CrossNoise * g.nextGaussian() / math.sqrt(d.toDouble); j += 1 }
         out
       case None => monolingualTokenVec(token)
     }
@@ -109,4 +108,11 @@ final class HashEmbedding(
       out
     }
   }
+}
+
+object HashEmbedding {
+  /** Fraction of dimensions a German token shares with its English source. */
+  private[text] val AlignFrac = 0.4
+  /** Scale of the token-specific cross-lingual noise. */
+  private val CrossNoise = 0.55
 }

@@ -92,8 +92,5 @@ object Rnd {
         seen.toArray
       }
     }
-
-    /** Pick one element uniformly. */
-    def pick[A](xs: IndexedSeq[A]): A = xs(nextInt(xs.length))
   }
 }

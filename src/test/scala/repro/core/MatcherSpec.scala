@@ -134,7 +134,6 @@ class MatcherSpec extends AnyFunSuite {
 
   test("confident predictions yield small gradient embeddings (BADGE intuition)") {
     val m = new Matcher(d, seed = 15)
-    val rng = new Rnd.Gen(16)
     val pairs = (1 to 50).map(_ => (randomVec(), randomVec(), randomScalars()))
     val magsAndConf = pairs.map { case (er, es, sc) =>
       val p = m.prob(er, es, sc)

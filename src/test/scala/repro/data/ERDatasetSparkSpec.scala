@@ -8,7 +8,7 @@ class ERDatasetSparkSpec extends SparkSpec {
 
   test("rDF/sDF carry id, schema columns and text") {
     val r = ds.rDF(spark)
-    assert(r.columns.toSeq == Seq("id") ++ ds.schema :+ "text")
+    assert(r.columns.toSeq == Seq("id") ++ ds.schema)
     assert(r.count() == ds.r.size)
     assert(ds.sDF(spark).count() == ds.s.size)
   }
@@ -18,7 +18,7 @@ class ERDatasetSparkSpec extends SparkSpec {
     ds.r.take(10).foreach { rec =>
       val row = byId(rec.id)
       ds.schema.indices.foreach(i => assert(row.getString(1 + i) == rec.attrs(i)))
-      assert(row.getString(1 + ds.schema.length) == rec.text)
+      assert(row.length == 1 + ds.schema.length)
     }
   }
 

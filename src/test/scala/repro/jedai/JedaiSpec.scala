@@ -3,7 +3,8 @@ package repro.jedai
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.types._
 import repro.{Oracle, SparkSpec}
-import repro.data.ERDataGen
+import repro.core.PRF
+import repro.data.{ERDataGen, ERDataset, Rec}
 import repro.text.Tokenizer
 
 class JedaiSpec extends SparkSpec {
@@ -20,9 +21,10 @@ class JedaiSpec extends SparkSpec {
   }
 
   test("CBS weights equal shared distinct token counts") {
-    val pairs = TokenBlocking.pairsWithCbs(spark, da, da.schema)
+    val pairs = TokenBlocking.sharedTokens(TokenBlocking.tokenTable(da.rDF(spark), da.schema),
+                                           TokenBlocking.tokenTable(da.sDF(spark), da.schema))
       .collect().map(r => ((r.getInt(r.fieldIndex("rid")), r.getInt(r.fieldIndex("sid"))),
-                           r.getLong(r.fieldIndex("cbs")))).toMap
+                           r.getLong(r.fieldIndex("cnt")))).toMap
     da.dups.take(10).foreach { case (rid, sid) =>
       val shared = da.rById(rid).tokenSet.intersect(da.sById(sid).tokenSet).size
       if (shared > 0) assert(pairs((rid, sid)) == shared.toLong, s"($rid,$sid)")
@@ -30,17 +32,17 @@ class JedaiSpec extends SparkSpec {
   }
 
   test("CBS aggregation matches DuckDB (oracle)") {
-    def tokRows(recs: Seq[repro.data.Rec]) = recs.flatMap(r =>
+    // driver-tokenised tables for DuckDB; Spark runs the program's token path
+    val sub = da.copy(r = da.r.take(25), s = da.s.take(25))
+    def tokRows(recs: Seq[Rec]) = recs.flatMap(r =>
       r.tokenSet.toSeq.sorted.map(t => Row(r.id, t)))
     val schema = StructType(Array(StructField("id", IntegerType), StructField("token", StringType)))
-    val rt = spark.createDataFrame(spark.sparkContext.parallelize(tokRows(da.r.take(25)), 1), schema)
-    val st = spark.createDataFrame(spark.sparkContext.parallelize(tokRows(da.s.take(25)), 1), schema)
-    val sparkCbs = rt.withColumnRenamed("id", "rid")
-      .join(st.withColumnRenamed("id", "sid"), "token")
-      .groupBy("rid", "sid")
-      .agg(org.apache.spark.sql.functions.count(org.apache.spark.sql.functions.lit(1)).as("cbs"))
+    val rt = spark.createDataFrame(spark.sparkContext.parallelize(tokRows(sub.r), 1), schema)
+    val st = spark.createDataFrame(spark.sparkContext.parallelize(tokRows(sub.s), 1), schema)
+    val sparkCbs = TokenBlocking.sharedTokens(TokenBlocking.tokenTable(sub.rDF(spark), sub.schema),
+                                              TokenBlocking.tokenTable(sub.sDF(spark), sub.schema))
     Oracle.assertEquivalent(sparkCbs,
-      """SELECT CAST(rt.id AS INT) AS rid, CAST(st.id AS INT) AS sid, count(*) AS cbs
+      """SELECT CAST(rt.id AS INT) AS rid, CAST(st.id AS INT) AS sid, count(*) AS cnt
         |FROM rt JOIN st ON rt.token = st.token GROUP BY rt.id, st.id""".stripMargin,
       "rt" -> rt, "st" -> st)
   }
@@ -49,15 +51,16 @@ class JedaiSpec extends SparkSpec {
     val rows = Seq(Row(1, 1, 1L), Row(1, 2, 5L), Row(2, 1, 2L), Row(2, 2, 8L))
     val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, 1),
       StructType(Array(StructField("rid", IntegerType), StructField("sid", IntegerType),
-                       StructField("cbs", LongType))))
+                       StructField("cnt", LongType))))
     val kept = MetaBlocking.weightedEdgePruning(df)
       .collect().map(r => (r.getInt(0), r.getInt(1))).toSet
-    assert(kept == Set((1, 2), (2, 2))) // mean = 4, keep cbs > 4
+    assert(kept == Set((1, 2), (2, 2))) // mean = 4, keep cnt > 4
   }
 
   test("jaccard computation matches driver brute force") {
-    val pairs = TokenBlocking.pairsWithCbs(spark, da, da.schema)
-    val withJac = TokenBlocking.withJaccard(spark, da, pairs, da.schema)
+    val rt = TokenBlocking.tokenTable(da.rDF(spark), da.schema)
+    val st = TokenBlocking.tokenTable(da.sDF(spark), da.schema)
+    val withJac = TokenBlocking.withJaccard(TokenBlocking.sharedTokens(rt, st), rt, st)
       .collect().map(r => ((r.getInt(r.fieldIndex("rid")), r.getInt(r.fieldIndex("sid"))),
                            r.getDouble(r.fieldIndex("jac")))).toMap
     da.dups.take(10).foreach { case (rid, sid) =>
@@ -65,6 +68,15 @@ class JedaiSpec extends SparkSpec {
       if (expected > 0)
         assert(math.abs(withJac((rid, sid)) - expected) < 1e-9, s"($rid,$sid)")
     }
+  }
+
+  test("the reported PRF matches the predictions when no threshold finds a duplicate") {
+    // the only gold pair (0, 0) shares no token; (0, 1) is predicted at every threshold
+    val ds = ERDataset("tiny", IndexedSeq("title"),
+      r = IndexedSeq(Rec(0, IndexedSeq("zorvex kx2741 headset"))),
+      s = IndexedSeq(Rec(0, IndexedSeq("plumbo dishwasher")), Rec(1, IndexedSeq("zorvex kx2741 headset"))),
+      dups = Set((0, 0)), testPairs = IndexedSeq.empty)
+    assert(JedaiPipelines.schemaBased(spark, ds).allPRF == PRF(0, 1, 1))
   }
 
   test("schema-based pipeline finds most DBLP-ACM duplicates") {

@@ -29,21 +29,6 @@ class AdamSpec extends AnyFunSuite {
     assert(p(0) == 10.0)
   }
 
-  test("linear schedule decays to zero at totalSteps") {
-    val adam = new Adam(1, lr = 1.0, totalSteps = 10)
-    assert(adam.currentLr == 1.0)
-    val p = Array(0.0)
-    (1 to 10).foreach(_ => adam.step(p, Array(1.0)))
-    assert(adam.currentLr == 0.0)
-  }
-
-  test("step counts are tracked") {
-    val adam = new Adam(1, lr = 0.1)
-    val p = Array(1.0)
-    adam.step(p, Array(0.5)); adam.step(p, Array(0.5))
-    assert(adam.stepsTaken == 2)
-  }
-
   test("rejects mismatched parameter vector") {
     val adam = new Adam(2, lr = 0.1)
     intercept[IllegalArgumentException](adam.step(Array(1.0), Array(1.0)))

@@ -31,14 +31,6 @@ class VecSpec extends AnyFunSuite {
     assert(a.toSeq == Seq(3.0, -6.0))
   }
 
-  test("add does not mutate inputs") {
-    val a = Array(1.0); val b = Array(2.0)
-    val c = Vec.add(a, b)
-    assert(c.toSeq == Seq(3.0) && a(0) == 1.0 && b(0) == 2.0)
-  }
-
-  test("sub") { assert(Vec.sub(Array(5.0, 1.0), Array(2.0, 4.0)).toSeq == Seq(3.0, -3.0)) }
-
   test("had is element-wise product") {
     assert(Vec.had(Array(2.0, 3.0), Array(4.0, -1.0)).toSeq == Seq(8.0, -3.0))
   }
@@ -55,18 +47,6 @@ class VecSpec extends AnyFunSuite {
     assert(math.abs(Vec.distSq(a, b) - (1.0 + 9.0 + 4.0)) < eps)
   }
 
-  test("cosine of parallel vectors is 1") {
-    assert(math.abs(Vec.cosine(Array(1.0, 2.0), Array(2.0, 4.0)) - 1.0) < 1e-9)
-  }
-
-  test("cosine of opposite vectors is -1") {
-    assert(math.abs(Vec.cosine(Array(1.0, 0.0), Array(-2.0, 0.0)) + 1.0) < 1e-9)
-  }
-
-  test("cosine with zero vector is 0") {
-    assert(Vec.cosine(Array(0.0, 0.0), Array(1.0, 1.0)) == 0.0)
-  }
-
   test("mean") {
     val m = Vec.mean(Seq(Array(1.0, 2.0), Array(3.0, 6.0)))
     assert(m.toSeq == Seq(2.0, 4.0))
@@ -74,16 +54,6 @@ class VecSpec extends AnyFunSuite {
 
   test("mean of empty rejects") {
     intercept[IllegalArgumentException](Vec.mean(Seq.empty))
-  }
-
-  test("concat") {
-    assert(Vec.concat(Array(1.0), Array(2.0, 3.0), Array(4.0)).toSeq == Seq(1.0, 2.0, 3.0, 4.0))
-  }
-
-  test("tanhI") {
-    val a = Array(0.0, 100.0, -100.0)
-    Vec.tanhI(a)
-    assert(a(0) == 0.0 && math.abs(a(1) - 1.0) < 1e-9 && math.abs(a(2) + 1.0) < 1e-9)
   }
 
   test("triangle inequality for l2 (scalacheck)") {

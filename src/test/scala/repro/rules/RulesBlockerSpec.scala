@@ -4,7 +4,8 @@ import org.apache.spark.sql.Row
 import org.apache.spark.sql.types._
 import repro.{Oracle, SparkSpec}
 import repro.core.Metrics
-import repro.data.ERDataGen
+import repro.data.{ERDataGen, Rec}
+import repro.jedai.TokenBlocking
 import repro.text.Tokenizer
 
 class RulesBlockerSpec extends SparkSpec {
@@ -14,45 +15,57 @@ class RulesBlockerSpec extends SparkSpec {
 
   test("tokenTable emits distinct normalised tokens per record") {
     val df = wa.rDF(spark)
-    val toks = RulesBlocker.tokenTable(df, "title").collect()
+    val toks = TokenBlocking.tokenTable(df, Seq("title")).collect()
       .map(r => (r.getInt(0), r.getString(1)))
     val byId = toks.groupBy(_._1)
     wa.r.take(10).foreach { rec =>
-      val expected = Tokenizer.tokens(rec.attrs(0)).distinct.toSet
-      assert(byId(rec.id).map(_._2).toSet == expected, s"rid=${rec.id}")
+      val got = byId(rec.id).map(_._2)
+      assert(got.length == got.distinct.length, s"rid=${rec.id} repeats a token")
+      assert(got.toSet == Tokenizer.tokens(rec.attrs(0)).toSet, s"rid=${rec.id}")
     }
+  }
+
+  /** Title tokens of the records of `wa`, and those in more than 5% of all
+    * records: the stopwords `overlapPairs` leaves out.
+    */
+  private def titleTokens(rec: Rec): Set[String] = Tokenizer.tokens(rec.attrs(0)).toSet
+  private lazy val stopwords: Set[String] = {
+    val df = (wa.r ++ wa.s).flatMap(titleTokens).groupBy(identity)
+    df.collect { case (t, occ) if occ.size > 0.05 * (wa.r.size + wa.s.size) => t }.toSet
   }
 
   test("overlapPairs matches brute force on the small dataset") {
-    val got = RulesBlocker.overlapPairs(wa.rDF(spark), wa.sDF(spark), "title", 3)
+    val got = RulesBlocker.overlapPairs(wa.rDF(spark), wa.sDF(spark), "title")
       .collect().map(r => ((r.getInt(0), r.getInt(1)), r.getLong(2))).toMap
+    assert(stopwords.nonEmpty)
     // brute force over a subset of S
+    var found = 0
     wa.s.take(30).foreach { s =>
-      val sToks = Tokenizer.tokens(s.attrs(0)).distinct.toSet
+      val sToks = titleTokens(s) -- stopwords
       wa.r.foreach { r =>
-        val c = Tokenizer.tokens(r.attrs(0)).distinct.toSet.intersect(sToks).size
-        if (c >= 3) assert(got.get((r.id, s.id)).contains(c.toLong), s"(${r.id},${s.id})")
+        val c = (titleTokens(r) -- stopwords).intersect(sToks).size
+        if (c >= 3) { found += 1; assert(got.get((r.id, s.id)).contains(c.toLong), s"(${r.id},${s.id})") }
         else assert(!got.contains((r.id, s.id)), s"(${r.id},${s.id}) should be absent")
       }
     }
+    assert(found > 0, "no pair of the subset shares 3 rare tokens")
   }
 
   test("pair overlap-count aggregation matches DuckDB (oracle)") {
-    // pre-tokenised token tables fed to both engines
-    def tokRows(recs: Seq[repro.data.Rec], attr: Int) = recs.flatMap(r =>
-      Tokenizer.tokens(r.attrs(attr)).distinct.map(t => Row(r.id, t)))
+    // driver-tokenised tables for DuckDB; Spark runs the program's overlapPairs
+    def tokRows(recs: Seq[Rec]) = recs.flatMap(r => titleTokens(r).toSeq.sorted.map(t => Row(r.id, t)))
     val schema = StructType(Array(StructField("id", IntegerType), StructField("token", StringType)))
-    val rt = spark.createDataFrame(spark.sparkContext.parallelize(tokRows(wa.r.take(40), 0), 1), schema)
-    val st = spark.createDataFrame(spark.sparkContext.parallelize(tokRows(wa.s.take(60), 0), 1), schema)
-    val sparkPairs = rt.withColumnRenamed("id", "rid")
-      .join(st.withColumnRenamed("id", "sid"), "token")
-      .groupBy("rid", "sid")
-      .agg(org.apache.spark.sql.functions.count(org.apache.spark.sql.functions.lit(1)).as("cnt"))
-      .filter(org.apache.spark.sql.functions.col("cnt") >= 2)
+    val rt = spark.createDataFrame(spark.sparkContext.parallelize(tokRows(wa.r), 1), schema)
+    val st = spark.createDataFrame(spark.sparkContext.parallelize(tokRows(wa.s), 1), schema)
+    val sparkPairs = RulesBlocker.overlapPairs(wa.rDF(spark), wa.sDF(spark), "title")
+    assert(sparkPairs.count() > 0)
     Oracle.assertEquivalent(sparkPairs,
-      """SELECT CAST(rt.id AS INT) AS rid, CAST(st.id AS INT) AS sid, count(*) AS cnt
-        |FROM rt JOIN st ON rt.token = st.token
-        |GROUP BY rt.id, st.id HAVING count(*) >= 2""".stripMargin,
+      s"""WITH keep AS (
+         |  SELECT token FROM (SELECT token FROM rt UNION ALL SELECT token FROM st)
+         |  GROUP BY token HAVING count(*) <= ${0.05 * (wa.r.size + wa.s.size)})
+         |SELECT CAST(rt.id AS INT) AS rid, CAST(st.id AS INT) AS sid, count(*) AS cnt
+         |FROM rt JOIN keep ON rt.token = keep.token JOIN st ON st.token = keep.token
+         |GROUP BY rt.id, st.id HAVING count(*) >= 3""".stripMargin,
       "rt" -> rt, "st" -> st)
   }
 
@@ -108,6 +121,6 @@ class RulesBlockerSpec extends SparkSpec {
 
   test("no rules exist for the multilingual dataset") {
     val ml = ERDataGen.multilingual(30, 10, seed = 1)
-    intercept[IllegalArgumentException](RulesBlocker.candidatesDF(spark, ml))
+    intercept[IllegalArgumentException](RulesBlocker.candidates(spark, ml))
   }
 }

@@ -75,7 +75,7 @@ class HashEmbeddingSpec extends AnyFunSuite {
     val de = ml.tokenVec("haus")
     assert(Vec.distSq(en, de) > 1e-4) // not identical
     // the aligned subspace matches up to the pretraining noise
-    val alignDim = (64 * ml.alignFrac).toInt
+    val alignDim = (64 * HashEmbedding.AlignFrac).toInt
     val alignedDiff = (0 until alignDim).map(i => math.abs(en(i) - de(i))).max
     assert(alignedDiff < 0.5)
   }

@@ -116,10 +116,4 @@ class RndSpec extends AnyFunSuite {
   test("sampleDistinct rejects k > n") {
     intercept[IllegalArgumentException](new Rnd.Gen(1).sampleDistinct(3, 4))
   }
-
-  test("pick returns an element of the sequence") {
-    val g = new Rnd.Gen(10)
-    val xs = IndexedSeq("a", "b", "c")
-    (1 to 50).foreach(_ => assert(xs.contains(g.pick(xs))))
-  }
 }
