@@ -131,7 +131,11 @@ object Matcher {
   private val LabelSmooth = 0.1
 }
 
-/** Broadcastable pair scorer: recomputes embeddings + features in-task. */
+/** Broadcastable pair scorer: recomputes embeddings + features in-task.
+  * `Dial` scores on the driver instead; this stays for the benchmark replay
+  * (`dialbench/Replay.scala`), which scores CAND through
+  * `SparkKnn.scorePairs` with it.
+  */
 final class MatcherScorer(emb: HashEmbedding, featurizer: PairFeaturizer,
                           matcher: Matcher) extends PairScorer {
   override def prob(rAttrs: Seq[String], sAttrs: Seq[String]): Double =

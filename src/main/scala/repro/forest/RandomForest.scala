@@ -1,6 +1,5 @@
 package repro.forest
 
-import repro.index.PairScorer
 import repro.util.Rnd
 
 /** Bagged forest of CART trees — the learner of the paper's strongest
@@ -39,10 +38,4 @@ object RandomForest {
     }
     new RandomForest(trees.toIndexedSeq)
   }
-}
-
-/** Broadcastable scorer computing features in-task. */
-final class ForestScorer(forest: RandomForest) extends PairScorer {
-  override def prob(rAttrs: Seq[String], sAttrs: Seq[String]): Double =
-    forest.voteFraction(SimFeatures.features(rAttrs, sAttrs))
 }

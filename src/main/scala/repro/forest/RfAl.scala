@@ -1,11 +1,9 @@
 package repro.forest
 
-import org.apache.spark.sql.{Row, SparkSession}
-import org.apache.spark.sql.types._
+import org.apache.spark.sql.SparkSession
 import repro.core.{Dial, DialConfig, LabeledPair, Metrics, PRF, RunResult, RoundStat, OpTimes}
 import repro.data.ERDataset
-import repro.index.SparkKnn
-import repro.util.Rnd
+import repro.util.{Par, Rnd}
 import scala.collection.mutable
 
 /** The Random-Forest + QBC-via-bootstrap active-learning baseline
@@ -16,9 +14,9 @@ import scala.collection.mutable
 object RfAl {
 
   /** Trees per forest. */
-  private val NTrees = 20
+  private[forest] val NTrees = 20
   /** Seed of the seed set and of every forest. */
-  private val Seed = 7L
+  private[forest] val Seed = 7L
 
   def run(spark: SparkSession, ds: ERDataset,
           rounds: Int = 4, budget: Int = 128): RunResult = {
@@ -37,18 +35,14 @@ object RfAl {
       RandomForest.fit(data.map(lp => feat(lp.rId, lp.sId)),
                        data.map(lp => if (lp.y) 1.0 else 0.0), NTrees, roundSeed)
 
-    /** Distributed vote fractions over the whole candidate set. */
-    def score(forest: RandomForest): Map[(Int, Int), Double] = {
-      val rows = cand.map { case (a, b) => Row(a, b) }
-      val df = spark.createDataFrame(
-        spark.sparkContext.parallelize(rows.toSeq, math.max(1, cand.size / 20000)),
-        StructType(Array(StructField("rid", IntegerType, nullable = false),
-                         StructField("sid", IntegerType, nullable = false))))
-      val rMap = ds.r.map(x => x.id -> x.attrs).toMap
-      val sMap = ds.s.map(x => x.id -> x.attrs).toMap
-      SparkKnn.scorePairs(spark, df, rMap, sMap, new ForestScorer(forest))
-        .collect().map(r => ((r.getInt(0), r.getInt(1)), r.getDouble(2))).toMap
-    }
+    /** Vote fractions over the whole candidate set, in candidate order,
+      * computed concurrently on the driver.
+      */
+    def score(forest: RandomForest): IndexedSeq[Double] =
+      Par.tabulate(cand.size) { i =>
+        val (rId, sId) = cand(i)
+        forest.voteFraction(SimFeatures.features(ds.rById(rId).attrs, ds.sById(sId).attrs))
+      }
 
     val stats = mutable.ArrayBuffer.empty[RoundStat]
     var finalAll = PRF(0, 0, 0); var finalTest = PRF(0, 0, 0)
@@ -60,7 +54,7 @@ object RfAl {
       val t0 = System.nanoTime()
       val probs = score(forest)
       val sec = (System.nanoTime() - t0) / 1e9
-      val predicted = probs.collect { case (pair, p) if p > 0.5 => pair }.toSet
+      val predicted = cand.indices.filter(i => probs(i) > 0.5).map(cand).toSet
       val allPRF = Metrics.allPairs(predicted, ds.dups)
       val testPRF = Metrics.testEval(ds.testPairs, predicted)
       stats += RoundStat(round, t.length,
@@ -68,11 +62,11 @@ object RfAl {
       if (isFinal) {
         finalAll = allPRF; finalTest = testPRF; findAllSec = sec
       } else {
-        val selectable = cand.filterNot(p => labeled.contains(p) || ds.testSet.contains(p))
-        val byVariance = selectable.sortBy { p =>
-          val pr = probs(p); -(pr * (1.0 - pr))
+        val selectable = cand.indices.filterNot(i => labeled.contains(cand(i)) || ds.testSet.contains(cand(i)))
+        val byVariance = selectable.sortBy { i =>
+          val pr = probs(i); -(pr * (1.0 - pr))
         }
-        val sel = byVariance.take(budget)
+        val sel = byVariance.take(budget).map(cand)
         val newly = sel.map { case (a, b) => LabeledPair(a, b, ds.dups.contains((a, b))) }
         t = t ++ newly
         newly.foreach(lp => labeled += ((lp.rId, lp.sId)))

@@ -14,7 +14,13 @@ trait EmbView extends Serializable {
   def apply(base: Array[Double]): Array[Double]
 }
 
-/** Scores a record pair — broadcast into candidate-scoring scans. */
+/** Scores a record pair — broadcast into candidate-scoring scans.
+  *
+  * The program scores on the driver (`Dial` and `RfAl`); this, with
+  * [[SparkKnn.scorePairs]] and `core.MatcherScorer`, stays only because the
+  * benchmark's layer-by-layer replay (`dialbench/Replay.scala`) scores CAND
+  * through them.
+  */
 trait PairScorer extends Serializable {
   def prob(rAttrs: Seq[String], sAttrs: Seq[String]): Double
 }
@@ -74,7 +80,9 @@ object SparkKnn {
   /** Matcher probabilities over a candidate-pair DataFrame (rid, sid).
     * Record attribute maps are broadcast (both lists fit comfortably);
     * the scorer runs as a partition-local scan — the "matcher scoring as a
-    * UDF over partitioned data" dataflow.
+    * UDF over partitioned data" dataflow. No program path calls it; it stays
+    * for the benchmark replay (see [[PairScorer]]), whose probabilities equal
+    * `Dial`'s driver scoring exactly.
     */
   def scorePairs(spark: SparkSession, pairs: DataFrame,
                  rAttrs: Map[Int, IndexedSeq[String]], sAttrs: Map[Int, IndexedSeq[String]],

@@ -2,10 +2,11 @@ package repro.util
 
 import java.util.stream.IntStream
 
-/** Member-parallel work: the committee's members are independent (paper
-  * Eq. 7–8), so per-member training and per-member index builds run as
-  * separate tasks on the JVM's common fork-join pool, with the calling
-  * thread taking a share. The pool is sized from the runtime's core count.
+/** Index-parallel work on the JVM's common fork-join pool, with the calling
+  * thread taking a share; the pool is sized from the runtime's core count.
+  * Used where the items are independent: committee members (paper
+  * Eq. 7–8) and their indexes, per-record pair-feature profiles, and the
+  * pairs of a candidate set being scored.
   */
 object Par {
 

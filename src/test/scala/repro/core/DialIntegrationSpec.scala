@@ -1,9 +1,13 @@
 package repro.core
 
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.types.{IntegerType, StructField, StructType}
 import repro.SparkSpec
 import repro.data.ERDataGen
+import repro.index.SparkKnn
 import repro.rules.RulesBlocker
 import repro.text.HashEmbedding
+import repro.util.Rnd
 
 /** End-to-end mini AL runs exercising Algorithm 1 and every blocking mode. */
 class DialIntegrationSpec extends SparkSpec {
@@ -68,6 +72,36 @@ class DialIntegrationSpec extends SparkSpec {
     // a committee larger than the core count trains its members in waves
     val wide = fastCfg.copy(committeeN = 10)
     assert(strip(new Dial(spark, ds, wide).run()) == strip(new Dial(spark, ds, wide).run()))
+  }
+
+  test("driver scoring equals SparkKnn.scorePairs with MatcherScorer on one CAND") {
+    val dial = new Dial(spark, ds, fastCfg)
+    val featurizer = dial.embedder.featurizer
+    val data = dial.seedSet().map { lp =>
+      val (r, s) = (ds.r(lp.rId).attrs, ds.s(lp.sId).attrs)
+      TrainEx(dial.embedder.rBase(lp.rId), dial.embedder.sBase(lp.sId), featurizer.scalars(r, s),
+              if (lp.y) 1.0 else 0.0)
+    }
+    val matcher = new Matcher(fastCfg.embedDim, 5L)
+    matcher.train(data, epochs = 6, batch = 16, new Rnd.Gen(6L))
+    val views = IndexedSeq(new PlainView)
+    val sDf = ds.sDF(spark).cache()
+    val cand = Blocker.retrieveCand(spark, ds, sDf, dial.emb, views,
+      Blocker.buildIndexes(dial.embedder.rBase, views), fastCfg.k, dial.candSize)
+    sDf.unpersist()
+    val candDf = spark.createDataFrame(
+      spark.sparkContext.parallelize(cand.map(c => Row(c.rId, c.sId)), 3),
+      StructType(Array(StructField("rid", IntegerType, nullable = false),
+                       StructField("sid", IntegerType, nullable = false))))
+    val onSpark = SparkKnn.scorePairs(spark, candDf, ds.r.map(x => x.id -> x.attrs).toMap,
+        ds.s.map(x => x.id -> x.attrs).toMap, new MatcherScorer(dial.emb, featurizer, matcher))
+      .collect().map(r => (r.getInt(0), r.getInt(1)) -> r.getDouble(2)).toMap
+    val (onDriver, _) = dial.scoreCand(matcher, cand)
+    assert(cand.nonEmpty && onDriver.length == cand.length && onSpark.size == cand.length)
+    onDriver.zip(cand).foreach { case ((sc, _), c) =>
+      assert((sc.rId, sc.sId, sc.dist) == (c.rId, c.sId, c.dist))
+      assert(sc.prob == onSpark((c.rId, c.sId)), s"pair (${c.rId}, ${c.sId})")
+    }
   }
 
   test("different selectors select different labels but all complete") {

@@ -119,19 +119,4 @@ class ForestSpec extends AnyFunSuite {
     val b = RandomForest.fit(xs, ys, 5, seed = 15)
     assert(a.trees == b.trees)
   }
-
-  test("ForestScorer computes features in-line") {
-    val (xs, ys) = xor(50, 16)
-    // train on SimFeatures dimensionality so the scorer is applicable
-    val data = IndexedSeq.tabulate(40) { i =>
-      val r = Seq(s"tok$i common", i.toString)
-      val s = if (i % 2 == 0) Seq(s"tok$i common", i.toString) else Seq("other words", "999")
-      (SimFeatures.features(r, s), if (i % 2 == 0) 1.0 else 0.0, r, s)
-    }
-    val f = RandomForest.fit(data.map(_._1), data.map(_._2), 10, seed = 17)
-    val scorer = new ForestScorer(f)
-    data.take(6).foreach { case (feat, _, r, s) =>
-      assert(math.abs(scorer.prob(r, s) - f.voteFraction(feat)) < 1e-12)
-    }
-  }
 }

@@ -4,6 +4,7 @@ import repro.SparkSpec
 import repro.core.{Dial, DialConfig, Metrics}
 import repro.data.ERDataGen
 import repro.rules.RulesBlocker
+import repro.util.Rnd
 
 /** The Random-Forest AL baseline end to end on a small W-A. */
 class RfAlSpec extends SparkSpec {
@@ -25,6 +26,19 @@ class RfAlSpec extends SparkSpec {
     assert(a.candRecall == Metrics.candRecall(cand, wa.dups))
     assert(a.roundStats == b.roundStats)
     assert(a.testPRF == b.testPRF && a.allPRF == b.allPRF)
+  }
+
+  test("the reported PRF is that of every candidate the forest votes a duplicate") {
+    // with no labeling round the only forest is trained on the seed set
+    val seed = new Dial(spark, wa, DialConfig(seed = RfAl.Seed)).seedSet()
+    def features(rId: Int, sId: Int) = SimFeatures.features(wa.r(rId).attrs, wa.s(sId).attrs)
+    val forest = RandomForest.fit(seed.map(lp => features(lp.rId, lp.sId)),
+      seed.map(lp => if (lp.y) 1.0 else 0.0), RfAl.NTrees, Rnd.combine(RfAl.Seed, 1))
+    val predicted = cand.filter { case (a, b) => forest.voteFraction(features(a, b)) > 0.5 }.toSet
+    assert(predicted.map(_._1).size < predicted.size, "no two predicted pairs share an R record")
+    val r = RfAl.run(spark, wa, rounds = 0)
+    assert(r.allPRF == Metrics.allPairs(predicted, wa.dups))
+    assert(r.testPRF == Metrics.testEval(wa.testPairs, predicted))
   }
 
   test("a budget above the selectable pairs labels every one of them and no test pair") {
