@@ -13,10 +13,15 @@ even pairs and the change first on odd ones. The script prints each pair's
 `run_s` and `cand_recall`, each side's median and quartiles of `run_s`, and
 the claim rule: at least ten pairs, the change wins at least nine tenths of
 them (ties count for neither) and the medians differ by more than the
-parent's interquartile range. Every pair's full metric record goes to BENCH_<name>.json at the root
-of this checkout, beside the summary. A later call with the same name and
-parent adds its workloads to that file, replacing any of the same workload
-and seed.
+parent's interquartile range. It also applies the no-regression rule to every
+end-to-end metric that BENCHMARK.json declares (the file is only read): each
+side's median, and a verdict of `worse` when the change's median is worse than
+the parent's by more than the metric's bound (relative to the parent median),
+`unresolved` when the parent's IQR/median exceeds the bound and not every
+change run reads better than every parent run, and `ok` otherwise. Every
+pair's full metric record goes to BENCH_<name>.json at the root of this
+checkout, beside the summary. A later call with the same name and parent adds
+its workloads to that file, replacing any of the same workload and seed.
 """
 
 import argparse
@@ -68,7 +73,30 @@ def quartiles(xs):
     return {"q1": q1, "median": med, "q3": q3}
 
 
-def compare(workload, seed, pairs, seconds, sides):
+def verdicts(done, metrics):
+    """The no-regression rule per end-to-end metric over the complete pairs."""
+    out = {}
+    for m in metrics:
+        name, bound, lower = m["name"], m["bound"], m["better"] == "lower"
+        par = [r["parent"][name] for r in done]
+        chg = [r["change"][name] for r in done]
+        sp, sc = quartiles(par), quartiles(chg)
+        scale = abs(sp["median"])
+        worse_by = (sc["median"] - sp["median"]) if lower else (sp["median"] - sc["median"])
+        spread = (sp["q3"] - sp["q1"]) / scale if scale else 0.0
+        all_better = max(chg) < min(par) if lower else min(chg) > max(par)
+        if worse_by > bound * scale:
+            verdict = "worse"
+        elif spread > bound and not all_better:
+            verdict = "unresolved"
+        else:
+            verdict = "ok"
+        out[name] = {"parent_median": sp["median"], "change_median": sc["median"],
+                     "parent_iqr_over_median": spread, "bound": bound, "verdict": verdict}
+    return out
+
+
+def compare(workload, seed, pairs, seconds, sides, metrics):
     rows = []
     for i in range(pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
@@ -93,11 +121,16 @@ def compare(workload, seed, pairs, seconds, sides):
             "change_wins": wins,
             "claim_met": len(rows) >= 10 and wins >= 0.9 * len(rows) and sp["median"] - sc["median"] > iqr,
             "cand_recall_equal": all(r["parent"]["cand_recall"] == r["change"]["cand_recall"] for r in done),
+            "end_to_end": verdicts(done, metrics),
         })
         print(f"{workload} seed {seed if seed is not None else 'default'}: run_s parent median {sp['median']:.3f} "
               f"[{sp['q1']:.3f}, {sp['q3']:.3f}], change median {sc['median']:.3f} [{sc['q1']:.3f}, {sc['q3']:.3f}]; "
               f"change wins {wins}/{len(rows)}; parent IQR {iqr:.3f}; claim met: {summary['claim_met']}; "
               f"cand_recall equal on every pair: {summary['cand_recall_equal']}", flush=True)
+        for name, v in summary["end_to_end"].items():
+            print(f"{workload} {name}: parent median {v['parent_median']:.4f}, change median "
+                  f"{v['change_median']:.4f}, parent IQR/median {v['parent_iqr_over_median']:.3f}, "
+                  f"bound {v['bound']}: {v['verdict']}", flush=True)
     return {"workload": workload, "seed": seed, "seconds": seconds, "pairs": rows, "summary": summary}
 
 
@@ -112,6 +145,7 @@ def main():
     ap.add_argument("--workdir", help="where the parent checkout goes (default: a new temporary directory)")
     args = ap.parse_args()
 
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
     dirty = bool(subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"], cwd=ROOT,
@@ -121,7 +155,7 @@ def main():
         parent_sha = export(args.parent, parent_dir)
         log(f"parent {parent_sha} in {parent_dir}; change is {ROOT} at {head}{' with local changes' if dirty else ''}")
         sides = {"parent": parent_dir, "change": ROOT}
-        results = [compare(w, args.seed, args.pairs, args.seconds, sides) for w in args.workload]
+        results = [compare(w, args.seed, args.pairs, args.seconds, sides, metrics) for w in args.workload]
 
     out = ROOT / f"BENCH_{args.name}.json"
     if out.exists():
@@ -134,7 +168,11 @@ def main():
         "parent": parent_sha,
         "change": {"head": head, "local_changes": dirty},
         "rule": "claim when >= 10 pairs ran, change wins >= 9/10 of them (ties count for neither) "
-                "and parent median - change median > parent IQR (run_s, lower is better)",
+                "and parent median - change median > parent IQR (run_s, lower is better); "
+                "no regression when every end_to_end metric of BENCHMARK.json has verdict ok: "
+                "worse = change median worse than the parent median by more than bound * |parent median|, "
+                "unresolved = parent IQR / |parent median| > bound and not every change run better "
+                "than every parent run",
         "workloads": results,
     }, indent=1) + "\n")
     log(f"wrote {out}")

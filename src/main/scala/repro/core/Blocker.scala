@@ -1,24 +1,25 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.data.ERDataset
-import repro.index.{EmbView, ExactIndex, NnIndex, SparkKnn}
+import repro.index.{EmbView, ExactIndex, NnIndex}
 import repro.text.HashEmbedding
 import repro.util.Par
+import scala.collection.mutable
 
 /** One candidate pair surfaced by blocking; `dist` is the smallest squared-L2
   * distance across the committee members that retrieved it.
   */
 final case class CandPair(rId: Int, sId: Int, dist: Double)
 
-/** Index-By-Committee retrieval (paper §3.2.1, Algorithm 1 lines 10–24).
+/** Index-By-Committee retrieval (paper §3.2.1, Algorithm 1 lines 10–24), on
+  * the driver.
   *
-  * Each member indexes its view of R's embeddings (broadcast,
-  * FAISS-substitute) and is probed by every record of S in one distributed
-  * scan that computes the shared base embedding once per record; the union
-  * of all members' top-k lists, deduplicated by closest distance, is cut to
-  * the `candSize` closest pairs to form CAND.
+  * Each member indexes its view of R's base embeddings (exact search, the
+  * FAISS substitute) and is probed by every record of S through the same
+  * view of that record's cached base embedding; the union of all members'
+  * top-k lists, deduplicated by closest distance, is cut to the `candSize`
+  * closest pairs to form CAND.
   */
 object Blocker {
 
@@ -31,18 +32,43 @@ object Blocker {
     Par.tabulate(views.length)(k => new ExactIndex(ids, rBase.map(views(k).apply)): NnIndex)
   }
 
-  /** Retrieve CAND via the fused committee scan.
-    * `sDf` must carry columns `id` + the dataset schema (cached by caller).
+  /** CAND ordering: distance, then R id, then S id (a total order, since
+    * the pairs are distinct).
     */
-  def retrieveCand(spark: SparkSession, ds: ERDataset, sDf: DataFrame,
-                   emb: HashEmbedding, views: IndexedSeq[EmbView],
-                   indexes: IndexedSeq[NnIndex], k: Int, candSize: Int): IndexedSeq[CandPair] = {
-    val hits = SparkKnn.retrieveMulti(spark, sDf, ds.schema, emb, views, indexes, k)
-    val cand = hits
-      .groupBy(col("rid"), col("sid"))
-      .agg(min(col("dist")).as("dist"))
-      .orderBy(col("dist").asc, col("rid").asc, col("sid").asc)
-      .limit(candSize)
-    cand.collect().map(r => CandPair(r.getInt(0), r.getInt(1), r.getDouble(2))).toIndexedSeq
+  private val byDistThenIds: Ordering[CandPair] = (a, b) => {
+    val c = java.lang.Double.compare(a.dist, b.dist)
+    if (c != 0) c
+    else if (a.rId != b.rId) Integer.compare(a.rId, b.rId)
+    else Integer.compare(a.sId, b.sId)
   }
+
+  /** CAND: every S record (`sBase`, indexed by S id) probes every member's
+    * index for its top `k`; each (r, s) pair keeps its smallest distance
+    * over the members, and the pairs ordered by (distance, r id, s id) are
+    * cut to the first `candSize`.
+    */
+  def retrieveCand(sBase: Array[Array[Double]], views: IndexedSeq[EmbView],
+                   indexes: IndexedSeq[NnIndex], k: Int, candSize: Int): IndexedSeq[CandPair] = {
+    val hits = NnIndex.probe(sBase, views, indexes, k)
+    val union = mutable.ArrayBuffer.empty[CandPair]
+    val closest = mutable.HashMap.empty[Int, Double]
+    hits.indices.foreach { sId =>
+      closest.clear()
+      hits(sId).foreach(_.foreach { case (rId, d) =>
+        if (closest.get(rId).forall(d < _)) closest(rId) = d
+      })
+      closest.foreach { case (rId, d) => union += CandPair(rId, sId, d) }
+    }
+    union.sortInPlace()(byDistThenIds).take(candSize).toIndexedSeq
+  }
+
+  /** Benchmark-only adapter: the signature `dialbench/Replay.scala` compiles
+    * against. It encodes S (`ds.s`, in id order) with `emb` and runs the
+    * driver path above. `spark` is not used, and `sDf` is by-name and never
+    * evaluated, so a caller's lazily cached S DataFrame is not built.
+    */
+  def retrieveCand(spark: SparkSession, ds: ERDataset, sDf: => DataFrame,
+                   emb: HashEmbedding, views: IndexedSeq[EmbView],
+                   indexes: IndexedSeq[NnIndex], k: Int, candSize: Int): IndexedSeq[CandPair] =
+    retrieveCand(ds.s.map(rec => emb.recordVec(rec.attrs)).toArray, views, indexes, k, candSize)
 }

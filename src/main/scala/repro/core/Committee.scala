@@ -20,7 +20,7 @@ case object LabeledNegs extends NegMode
   * `E_k(x) = tanh(U_k(M_k ⊙ E(x), 1))`. Row-major U: row j spans
   * `[j*(d+1), (j+1)*(d+1))`, last column is the bias.
   */
-final class Member(val d: Int, val mask: Array[Double], val u: Array[Double]) extends Serializable {
+final class Member(val d: Int, val mask: Array[Double], val u: Array[Double]) {
   require(mask.length == d && u.length == d * (d + 1), "member shape mismatch")
 
   def encode(e: Array[Double]): Array[Double] = {
@@ -58,7 +58,7 @@ final class Member(val d: Int, val mask: Array[Double], val u: Array[Double]) ex
   * All three objectives and both negative-sampling modes of the paper's
   * ablations are implemented here; DIAL's default is (Contrastive, RandomNegs).
   */
-final class Committee(val members: IndexedSeq[Member]) extends Serializable {
+final class Committee(val members: IndexedSeq[Member]) {
   def n: Int = members.length
 }
 

@@ -1,9 +1,9 @@
 package repro.core
 
 import java.util.IdentityHashMap
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.data.ERDataset
-import repro.index.{EmbView, ExactIndex}
+import repro.index.{EmbView, NnIndex}
 import repro.rules.RulesBlocker
 import repro.text.HashEmbedding
 import repro.util.{Par, Rnd}
@@ -131,9 +131,10 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
     * split retrieved pairs by gold, sample 50/50.
     */
   private def multilingualSeed(): IndexedSeq[LabeledPair] = {
-    val idx = new ExactIndex(Array.tabulate(ds.r.size)(identity), embedder.rBase)
-    val retrieved = ds.s.indices.flatMap { sId =>
-      idx.search(embedder.sBase(sId), 3).map { case (rId, _) => (rId, sId) }
+    val views = IndexedSeq(new PlainView)
+    val hits = NnIndex.probe(embedder.sBase, views, Blocker.buildIndexes(embedder.rBase, views), 3)
+    val retrieved = hits.indices.flatMap { sId =>
+      hits(sId).head.map { case (rId, _) => (rId, sId) }
     }.filterNot(ds.testSet.contains)
     val (dup, non) = retrieved.partition(ds.dups.contains)
     val pos = rng.sampleDistinct(dup.length, math.min(cfg.seedPos, dup.length))
@@ -179,17 +180,11 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
 
   // ------------------------------------------------------------ retrieval
 
-  @transient private var sDfCache: DataFrame = _
-  private def sDf: DataFrame = {
-    if (sDfCache == null) { sDfCache = ds.sDF(spark).cache(); sDfCache.count() }
-    sDfCache
-  }
-
   /** Table 9 "Indexing & Retrieval": the clock covers the index build. */
   private def timedRetrieve(views: IndexedSeq[EmbView]): (IndexedSeq[CandPair], Double) = {
     val t0 = System.nanoTime()
     val idx = Blocker.buildIndexes(embedder.rBase, views)
-    val cand = Blocker.retrieveCand(spark, ds, sDf, emb, views, idx, cfg.k, candSize)
+    val cand = Blocker.retrieveCand(embedder.sBase, views, idx, cfg.k, candSize)
     (cand, (System.nanoTime() - t0) / 1e9)
   }
 
@@ -319,7 +314,6 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
       }
       round += 1
     }
-    cleanup()
     RunResult(cfg.blockerMode.name, ds.name, stats.toIndexedSeq, finalRecall,
               finalTest, finalAll, lastTimes, findAllSec, t.length)
   }
@@ -335,12 +329,7 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
     val committee = ibcCommittee(t, matcher, round = 1)
     val (cand, retrieveSec) = timedRetrieve(ibcViews(matcher, committee))
     val (_, scoreSec) = scoreCand(matcher, cand)
-    cleanup()
     retrieveSec + scoreSec
-  }
-
-  private def cleanup(): Unit = {
-    if (sDfCache != null) { sDfCache.unpersist(); sDfCache = null }
   }
 }
 

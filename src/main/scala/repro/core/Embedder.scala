@@ -11,7 +11,7 @@ import repro.text.HashEmbedding
   * (paper §3.2.1: committee members start from the Matcher-trained
   * transformer's single-mode embeddings, with Θ frozen).
   */
-final class Embedder(val emb: HashEmbedding, val ds: ERDataset) extends Serializable {
+final class Embedder(val emb: HashEmbedding, val ds: ERDataset) {
   val d: Int = emb.d
 
   /** Base (pretrained) embeddings, indexed by record id. */

@@ -1,16 +1,23 @@
 package repro.index
 
-import repro.ml.{KMeans, Vec}
+import repro.ml.Vec
+import repro.util.Par
 
-/** Nearest-neighbour index over d-dimensional vectors — our FAISS substitute.
-  *
-  * Two implementations mirror the FAISS index families the paper's IBC uses:
-  * [[ExactIndex]] (≈ `IndexFlatL2`, exhaustive, exact) and [[IvfIndex]]
-  * (≈ `IndexIVFFlat`, inverted lists under a k-means coarse quantiser with
-  * `nprobe` probing). Both are immutable after construction and serializable
-  * so they ride Spark broadcasts into the S-side retrieval scan.
+/** A view over the shared base embedding E(x): identity (PairedFixed),
+  * matcher scale g ⊙ · (PairedAdapt), or a committee member's head (IBC).
+  * Views are cheap next to a transformer encoding, which all members share:
+  * the structure behind the paper's nearly flat testing time in the
+  * committee size (Table 10).
   */
-trait NnIndex extends Serializable {
+trait EmbView {
+  def apply(base: Array[Double]): Array[Double]
+}
+
+/** Nearest-neighbour index over d-dimensional vectors — our FAISS substitute:
+  * [[ExactIndex]] is FAISS `IndexFlatL2`, exhaustive and exact. Immutable
+  * after construction, so concurrent searches need no locking.
+  */
+trait NnIndex {
   /** Number of indexed vectors. */
   def size: Int
 
@@ -19,6 +26,21 @@ trait NnIndex extends Serializable {
 }
 
 object NnIndex {
+
+  /** Index-By-Committee probing (paper Algorithm 1, lines 10–24): every
+    * query's base embedding is projected through each member's view and
+    * searched in that member's index. Returns, per query and then per
+    * member, the top-`k` (id, distance) hits, ascending. Queries are probed
+    * concurrently; the result does not depend on the thread count.
+    */
+  def probe(queries: Array[Array[Double]], views: IndexedSeq[EmbView],
+            indexes: IndexedSeq[NnIndex], k: Int): IndexedSeq[IndexedSeq[Array[(Int, Double)]]] = {
+    require(views.length == indexes.length, "view/index count mismatch")
+    Par.tabulate(queries.length) { q =>
+      views.indices.map(m => indexes(m).search(views(m)(queries(q)), k))
+    }
+  }
+
   /** Bounded ascending top-k accumulator (insertion into a small array —
     * faster than a heap for the k ≤ 20 used throughout the paper).
     */
@@ -56,45 +78,6 @@ final class ExactIndex(idsIn: Array[Int], vecsIn: Array[Array[Double]]) extends 
     while (i < vecs.length) {
       top.offer(ids(i), Vec.distSq(q, vecs(i)))
       i += 1
-    }
-    top.result()
-  }
-}
-
-/** Inverted-file index: k-means coarse quantiser, per-centroid posting lists,
-  * query probes the `nprobe` nearest centroids (FAISS `IndexIVFFlat`).
-  * Approximate: recall < 1 when the true neighbour lives in an unprobed cell.
-  */
-final class IvfIndex(idsIn: Array[Int], vecsIn: Array[Array[Double]],
-                     nlist: Int, val nprobe: Int, seed: Long) extends NnIndex {
-  require(idsIn.length == vecsIn.length, "ids/vectors length mismatch")
-  private val ids = idsIn
-  private val vecs = vecsIn
-  private val (centroids, assign) =
-    KMeans.fit(vecsIn.toIndexedSeq, math.min(nlist, math.max(1, vecsIn.length)), seed)
-  private val lists: Array[Array[Int]] = {
-    val buf = Array.fill(centroids.length)(scala.collection.mutable.ArrayBuffer.empty[Int])
-    var i = 0
-    while (i < assign.length) { buf(assign(i)) += i; i += 1 }
-    buf.map(_.toArray)
-  }
-
-  override def size: Int = ids.length
-
-  override def search(q: Array[Double], k: Int): Array[(Int, Double)] = {
-    val nc = centroids.length
-    val probeTop = new NnIndex.TopK(math.min(nprobe, nc))
-    var c = 0
-    while (c < nc) { probeTop.offer(c, Vec.distSq(q, centroids(c))); c += 1 }
-    val top = new NnIndex.TopK(math.min(k, size))
-    probeTop.result().foreach { case (cell, _) =>
-      val lst = lists(cell)
-      var j = 0
-      while (j < lst.length) {
-        val idx = lst(j)
-        top.offer(ids(idx), Vec.distSq(q, vecs(idx)))
-        j += 1
-      }
     }
     top.result()
   }

@@ -3,16 +3,7 @@ package repro.index
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types._
 import repro.text.HashEmbedding
-
-/** A view over the shared base embedding E(x): identity (PairedFixed),
-  * matcher scale g ⊙ · (PairedAdapt), or a committee member's head (IBC).
-  * Views are cheap; the base encoding they share is the expensive part —
-  * this is the structure that keeps IBC's testing time nearly flat in the
-  * committee size (paper Table 10).
-  */
-trait EmbView extends Serializable {
-  def apply(base: Array[Double]): Array[Double]
-}
+import scala.jdk.CollectionConverters._
 
 /** Scores a record pair — broadcast into candidate-scoring scans.
   *
@@ -25,14 +16,9 @@ trait PairScorer extends Serializable {
   def prob(rAttrs: Seq[String], sAttrs: Seq[String]): Double
 }
 
-/** Distributed pieces of the blocking/matching dataflow.
-  *
-  * The R-side indexes are small (committee embeddings of the first list) and
-  * are broadcast; the S side — the large list — is scanned with
-  * `mapPartitions`, each task encoding its partition's records **once** with
-  * the shared base encoder and probing every member's index through its view.
-  * This is the broadcast-side k-NN join mirroring the paper's
-  * index-then-probe structure (Algorithm 1, lines 10–24).
+/** DataFrame forms of retrieval and scoring for the benchmark harness
+  * (`dialbench/`). No program path calls them: the program retrieves and
+  * scores on the driver.
   */
 object SparkKnn {
 
@@ -42,34 +28,27 @@ object SparkKnn {
     StructField("dist", DoubleType, nullable = false),
     StructField("member", IntegerType, nullable = false)))
 
-  /** Top-`k` R-neighbours of every S record under every committee view.
-    * Returns (sid, rid, dist, member); the caller deduplicates and cuts to
-    * the candidate size.
+  /** Top-`k` R-neighbours of every record of `sDf` under every committee
+    * view, as (sid, rid, dist, member) rows, before CAND's dedup and cut.
+    * Benchmark-only (`dialbench/Probes.scala` counts distinct hits with it):
+    * it collects `sDf`, encodes each record once with `emb` and runs
+    * [[NnIndex.probe]], the probe `core.Blocker.retrieveCand` runs.
     */
   def retrieveMulti(spark: SparkSession, sDf: DataFrame, attrCols: Seq[String],
                     emb: HashEmbedding, views: IndexedSeq[EmbView],
                     indexes: IndexedSeq[NnIndex], k: Int): DataFrame = {
-    require(views.length == indexes.length, "view/index count mismatch")
     import org.apache.spark.sql.functions.col
-    val bcEmb = spark.sparkContext.broadcast(emb)
-    val bcViews = spark.sparkContext.broadcast(views)
-    val bcIdx = spark.sparkContext.broadcast(indexes)
-    val projected = sDf.select((Seq("id") ++ attrCols).map(col): _*)
-    val rdd = projected.rdd.mapPartitions { rows =>
-      val e = bcEmb.value
-      val vs = bcViews.value
-      val idxs = bcIdx.value
-      rows.flatMap { row =>
-        val id = row.getInt(0)
-        val attrs = (1 until row.length).map(i => Option(row.getString(i)).getOrElse(""))
-        val base = e.recordVec(attrs) // shared across all members
-        vs.indices.iterator.flatMap { m =>
-          val q = vs(m)(base)
-          idxs(m).search(q, k).iterator.map { case (rid, d) => Row(id, rid, d, m) }
-        }
-      }
+    val records = sDf.select((Seq("id") ++ attrCols).map(col): _*).collect()
+    val base = records.map { row =>
+      emb.recordVec((1 until row.length).map(i => Option(row.getString(i)).getOrElse("")))
     }
-    spark.createDataFrame(rdd, retrieveSchema)
+    val hits = NnIndex.probe(base, views, indexes, k)
+    val rows = for {
+      (row, perMember) <- records.toSeq.zip(hits)
+      (memberHits, m) <- perMember.zipWithIndex
+      (rid, d) <- memberHits
+    } yield Row(row.getInt(0), rid, d, m)
+    spark.createDataFrame(rows.asJava, retrieveSchema)
   }
 
   private val scoreSchema = StructType(Array(

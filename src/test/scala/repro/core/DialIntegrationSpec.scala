@@ -85,10 +85,8 @@ class DialIntegrationSpec extends SparkSpec {
     val matcher = new Matcher(fastCfg.embedDim, 5L)
     matcher.train(data, epochs = 6, batch = 16, new Rnd.Gen(6L))
     val views = IndexedSeq(new PlainView)
-    val sDf = ds.sDF(spark).cache()
-    val cand = Blocker.retrieveCand(spark, ds, sDf, dial.emb, views,
+    val cand = Blocker.retrieveCand(dial.embedder.sBase, views,
       Blocker.buildIndexes(dial.embedder.rBase, views), fastCfg.k, dial.candSize)
-    sDf.unpersist()
     val candDf = spark.createDataFrame(
       spark.sparkContext.parallelize(cand.map(c => Row(c.rId, c.sId)), 3),
       StructType(Array(StructField("rid", IntegerType, nullable = false),

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalacheck.{Gen, Prop, Test}
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.data.{ERDataGen, ERDataset}
 import repro.text.{HashEmbedding, Tokenizer}
 
@@ -63,7 +63,7 @@ final class SetPairFeaturizer(idf: Map[String, Double]) {
   }
 }
 
-class PairFeaturesSpec extends SparkSpec {
+class PairFeaturesSpec extends AnyFunSuite {
 
   /** Index of the first feature that differs under `==`, or -1. */
   private def firstDiff(a: Array[Double], b: Array[Double]): Int =
@@ -78,10 +78,8 @@ class PairFeaturesSpec extends SparkSpec {
     val emb = new HashEmbedding(64, 42L, ds.germanToEnglish)
     val embedder = new Embedder(emb, ds)
     val views = IndexedSeq(new PlainView)
-    val sDf = ds.sDF(spark).cache()
-    try Blocker.retrieveCand(spark, ds, sDf, emb, views, Blocker.buildIndexes(embedder.rBase, views),
-                             k = 3, candSize = 3 * ds.s.size)
-    finally sDf.unpersist()
+    Blocker.retrieveCand(embedder.sBase, views, Blocker.buildIndexes(embedder.rBase, views),
+                         k = 3, candSize = 3 * ds.s.size)
   }
 
   Seq(

@@ -47,36 +47,4 @@ class KMeansSpec extends AnyFunSuite {
   test("ppSeeds rejects empty input") {
     intercept[IllegalArgumentException](KMeans.ppSeeds(IndexedSeq.empty, 1, 0))
   }
-
-  test("fit recovers two separated clusters") {
-    val pts = cluster(Array(0.0, 0.0), 40, 1) ++ cluster(Array(10.0, 10.0), 40, 2)
-    val (cents, assign) = KMeans.fit(pts, 2, 3)
-    assert(cents.length == 2)
-    // points of each true cluster share an assignment
-    assert(assign.take(40).distinct.length == 1)
-    assert(assign.drop(40).distinct.length == 1)
-    assert(assign(0) != assign(40))
-    val near = cents.map(c => math.min(Vec.distSq(c, Array(0.0, 0.0)), Vec.distSq(c, Array(10.0, 10.0))))
-    assert(near.forall(_ < 1.0))
-  }
-
-  test("fit assignment maps every point to its nearest centroid") {
-    val g = new Rnd.Gen(9)
-    val pts = IndexedSeq.fill(60)(Array(g.nextGaussian(), g.nextGaussian(), g.nextGaussian()))
-    val (cents, assign) = KMeans.fit(pts, 4, 10)
-    pts.indices.foreach { i =>
-      val mine = Vec.distSq(pts(i), cents(assign(i)))
-      cents.indices.foreach { c =>
-        assert(mine <= Vec.distSq(pts(i), cents(c)) + 1e-9)
-      }
-    }
-  }
-
-  test("fit is deterministic in seed") {
-    val pts = cluster(Array(0.0, 0.0), 30, 1) ++ cluster(Array(5.0, 5.0), 30, 2)
-    val (c1, a1) = KMeans.fit(pts, 3, 7)
-    val (c2, a2) = KMeans.fit(pts, 3, 7)
-    assert(a1.toSeq == a2.toSeq)
-    assert(c1.map(_.toSeq).toSeq == c2.map(_.toSeq).toSeq)
-  }
 }
