@@ -19,9 +19,20 @@ case object LabeledNegs extends NegMode
   * of dimensions retained) followed by a trainable affine map and tanh:
   * `E_k(x) = tanh(U_k(M_k ⊙ E(x), 1))`. Row-major U: row j spans
   * `[j*(d+1), (j+1)*(d+1))`, last column is the bias.
+  *
+  * The mask is 0/1, so `M_k ⊙ E(x)` only selects columns of U: `encode` and
+  * `backprop` sum over the retained dimensions alone. A skipped term would
+  * have been `u·0·e = ±0` (inputs are finite: `recordVec` and tanh make
+  * them so), which leaves every sum as it is, up to the sign of an exact
+  * zero that no use of the output can see: each use squares it, takes its
+  * absolute value or multiplies it.
   */
 final class Member(val d: Int, val mask: Array[Double], val u: Array[Double]) {
   require(mask.length == d && u.length == d * (d + 1), "member shape mismatch")
+  require(mask.forall(v => v == 0.0 || v == 1.0), "member mask entries must be 0 or 1")
+
+  /** The retained input dimensions (mask 1), ascending. */
+  private[core] val kept: Array[Int] = (0 until d).filter(mask(_) == 1.0).toArray
 
   def encode(e: Array[Double]): Array[Double] = {
     val out = new Array[Double](d)
@@ -29,8 +40,8 @@ final class Member(val d: Int, val mask: Array[Double], val u: Array[Double]) {
     while (j < d) {
       val off = j * (d + 1)
       var s = u(off + d)
-      var i = 0
-      while (i < d) { s += u(off + i) * mask(i) * e(i); i += 1 }
+      var t = 0
+      while (t < kept.length) { val i = kept(t); s += u(off + i) * e(i); t += 1 }
       out(j) = math.tanh(s)
       j += 1
     }
@@ -38,18 +49,117 @@ final class Member(val d: Int, val mask: Array[Double], val u: Array[Double]) {
   }
 
   /** Accumulate dL/dU into `gU` given the input `e`, the forward output
-    * `out = encode(e)` and the output gradient `dOut`.
+    * `out = encode(e)` and the output gradient `dOut`: one record through
+    * the training kernel. Masked columns of `gU` get no gradient.
     */
   def backprop(e: Array[Double], out: Array[Double], dOut: Array[Double],
                gU: Array[Double]): Unit = {
+    val k = new MemberKernel(this, 1)
+    k.add(e)
+    System.arraycopy(out, 0, k.out(0), 0, d)
+    System.arraycopy(dOut, 0, k.dOut(0), 0, d)
+    k.backward(1.0)
+    Vec.axpyI(gU, 1.0, k.gU)
+  }
+}
+
+/** One member's training step over its retained dimensions only (the
+  * committee's hot kernel): buffers for the records of one step, holding
+  * their retained inputs column by column and their outputs and output
+  * gradients record by record, and the step's gradient `gU` in U's layout.
+  *
+  * The arithmetic is [[Member]]'s, term for term. Each output is the bias
+  * plus the kept terms in ascending column order; each entry of `gU` sums
+  * its records' terms from +0.0 in the order the records were added. Both
+  * loops run over one whole row of sums at a time, each sum in its own slot
+  * of `acc`, so no sum changes order, and the JIT can vectorise them. The
+  * masked columns of `gU` are never written and stay +0.0, so AdamW (weight
+  * decay 0) leaves those columns of U exactly as they are.
+  */
+private[core] final class MemberKernel(m: Member, capacity: Int) {
+  val d: Int = m.d
+  private val kept = m.kept
+  private val kp = kept.length
+  private val u = m.u
+
+  /** dLoss/dU after [[backward]]. */
+  val gU: Array[Double] = new Array[Double](u.length)
+  /** Encoded records, one row of `d` per record, after [[forward]]. */
+  val out: Array[Array[Double]] = Array.ofDim[Double](capacity, d)
+  /** dLoss/dOut, one row per record; the loss adds into it, and
+    * [[backward]] turns it into dLoss/d(pre-activation) in place.
+    */
+  val dOut: Array[Array[Double]] = Array.ofDim[Double](capacity, d)
+  // x(t)(r): kept input t of record r; row kp is the bias input, all 1.0
+  private val x = Array.ofDim[Double](kp + 1, capacity)
+  java.util.Arrays.fill(x(kp), 1.0)
+  private val acc = new Array[Double](math.max(capacity, d))
+  private var n = 0
+
+  /** Empties the record buffer for a new step. */
+  def clear(): Unit = {
+    var r = 0
+    while (r < n) { java.util.Arrays.fill(dOut(r), 0.0); r += 1 }
+    n = 0
+  }
+
+  /** Appends a record (its retained dimensions); records are numbered in
+    * the order they are added.
+    */
+  def add(e: Array[Double]): Unit = {
+    var t = 0
+    while (t < kp) { x(t)(n) = e(kept(t)); t += 1 }
+    n += 1
+  }
+
+  /** Encodes every record into `out`: for each row j of U, all records'
+    * sums at once.
+    */
+  def forward(): Unit = {
     var j = 0
     while (j < d) {
-      val dz = dOut(j) * (1.0 - out(j) * out(j))
       val off = j * (d + 1)
-      var i = 0
-      while (i < d) { gU(off + i) += dz * mask(i) * e(i); i += 1 }
-      gU(off + d) += dz
+      java.util.Arrays.fill(acc, 0, n, u(off + d))
+      var t = 0
+      while (t < kp) {
+        val a = u(off + kept(t)); val col = x(t)
+        var r = 0
+        while (r < n) { acc(r) += a * col(r); r += 1 }
+        t += 1
+      }
+      var r = 0
+      while (r < n) { out(r)(j) = math.tanh(acc(r)); r += 1 }
       j += 1
+    }
+  }
+
+  /** `gU` = `scale` · Σ_records dz ⊗ (x, 1), summed in record order, where
+    * dz = dOut ⊙ (1 − out²): for each retained column of U, then the bias,
+    * all rows' sums at once.
+    */
+  def backward(scale: Double): Unit = {
+    var r = 0
+    while (r < n) {
+      val o = out(r); val g = dOut(r)
+      var j = 0
+      while (j < d) { g(j) = g(j) * (1.0 - o(j) * o(j)); j += 1 }
+      r += 1
+    }
+    var t = 0
+    while (t <= kp) {
+      java.util.Arrays.fill(acc, 0, d, 0.0)
+      val col = x(t)
+      r = 0
+      while (r < n) {
+        val e = col(r); val dz = dOut(r)
+        var j = 0
+        while (j < d) { acc(j) += dz(j) * e; j += 1 }
+        r += 1
+      }
+      val i = if (t < kp) kept(t) else d
+      var j = 0
+      while (j < d) { gU(j * (d + 1) + i) = acc(j) * scale; j += 1 }
+      t += 1
     }
   }
 }
@@ -99,8 +209,6 @@ object Committee {
   /** Triplet-loss margin (Table 5 ablation). */
   private[core] val Margin = 1.0
 
-  private def simNegSq(a: Array[Double], b: Array[Double]): Double = -Vec.distSq(a, b)
-
   /** Train every member on duplicate pairs `pos` (embeddings are the frozen
     * matcher-adapted E_Θ(x)); negatives are drawn per `cfg.negMode` from the
     * full lists (`rPool`, `sPool`) or from the actively-labeled negatives.
@@ -125,6 +233,9 @@ object Committee {
     * so each member then runs its whole step sequence, with its own optimiser,
     * as an independent task. The loss is summed afterwards in (step, member)
     * order, so the result is bit-identical to the sequential loop.
+    *
+    * Each member trains through a [[MemberKernel]]: every step loads its
+    * records straight from those index arrays.
     */
   private[core] def trainWithHeads(c: Committee, cfg: TrainConfig,
             pos: IndexedSeq[(Array[Double], Array[Double])],
@@ -168,38 +279,35 @@ object Committee {
     }
 
     val perMember = Par.tabulate(c.n) { k =>
+      // a step holds at most 2 records per positive and 2 per negative
       val member = c.members(k)
+      val kernel = new MemberKernel(member, 4 * cfg.batch)
       val adam = new Adam(member.u.length, Lr, weightDecay = 0.0)
       // classification objective keeps a per-member linear head on [u; v; |u−v|]
       val head = {
         val g = new Rnd.Gen(Rnd.combine(0xC1A55L, k))
         Array.fill(3 * d + 1)(0.01 * g.nextGaussian())
       }
+      val gHead = new Array[Double](head.length)
       val headAdam = new Adam(head.length, Lr)
       val lastEpoch = new Array[Double](stepsPerEpoch) // per-step losses, final epoch
       var step = 0
       while (step < steps) {
         val order = orders(step / stepsPerEpoch)
         val off = (step % stepsPerEpoch) * cfg.batch
-        val batchPos = (off until off + batchSize(step)).map(i => pos(order(i)))
-        val (nr, ns) = cfg.negMode match {
+        val b = batchSize(step)
+        val drawn = negA(step)
+        val (negR, negS): (Int => Array[Double], Int => Array[Double]) = cfg.negMode match {
           case RandomNegs =>
-            val rIdx = negA(step); val sIdx = negB(step)
-            (shuffles(k)(2 * step).toIndexedSeq.map(j => rPool(rIdx(j))),
-             shuffles(k)(2 * step + 1).toIndexedSeq.map(j => sPool(sIdx(j))))
+            val sIdx = negB(step); val pr = shuffles(k)(2 * step); val ps = shuffles(k)(2 * step + 1)
+            (i => rPool(drawn(pr(i))), i => sPool(sIdx(ps(i))))
           case LabeledNegs =>
-            val drawn = negA(step).toIndexedSeq.map(labeledNegs)
-            (drawn.map(_._1), drawn.map(_._2))
+            (i => labeledNegs(drawn(i))._1, i => labeledNegs(drawn(i))._2)
         }
-        val (loss, gU) = cfg.objective match {
-          case Contrastive => contrastiveLossGrad(member, batchPos, nr, ns)
-          case Triplet => tripletLossGrad(member, batchPos, nr, ns, Margin)
-          case Classification =>
-            val (loss, gU, gHead) = classificationLossGrad(member, head, batchPos, nr, ns)
-            headAdam.step(head, gHead)
-            (loss, gU)
-        }
-        adam.step(member.u, gU)
+        val loss = lossGrad(kernel, cfg.objective, Margin, head, gHead,
+                            b, p => pos(order(off + p))._1, p => pos(order(off + p))._2, b, negR, negS)
+        if (cfg.objective == Classification) headAdam.step(head, gHead)
+        adam.step(member.u, kernel.gU)
         lastEpoch(step % stepsPerEpoch) = loss
         step += 1
       }
@@ -216,112 +324,129 @@ object Committee {
     (epochLoss / math.max(1, stepsPerEpoch * c.n), perMember.map(_._2))
   }
 
-  /** Mean loss and dLoss/dU of one contrastive mini-batch (paper Eq. 8).
-    * Package-private so the test suite can finite-difference check it.
+  /** One mini-batch of `objective` on kernel `k`: positives p < `nPos` are
+    * (`posR(p)`, `posS(p)`), negatives i < `nNeg` are (`negR(i)`,
+    * `negS(i)`). Loads the records in the order their gradients are summed,
+    * encodes them, and leaves the mean dLoss/dU in `k.gU` (and, for
+    * Classification, the mean dLoss/dhead in `gHead`). Returns the mean
+    * loss. The training loop and the three `*LossGrad` entry points all run
+    * through here.
     */
-  private[core] def contrastiveLossGrad(m: Member,
-                              pos: IndexedSeq[(Array[Double], Array[Double])],
-                              negR: IndexedSeq[Array[Double]],
-                              negS: IndexedSeq[Array[Double]]): (Double, Array[Double]) = {
-    val b = pos.length
-    val nb = negR.length
-    // forward all distinct records once
-    val rp = pos.map(p => m.encode(p._1))
-    val sp = pos.map(p => m.encode(p._2))
-    val rn = negR.map(m.encode)
-    val sn = negS.map(m.encode)
-    val dRp = Array.fill(b)(Vec.zeros(m.d))
-    val dSp = Array.fill(b)(Vec.zeros(m.d))
-    val dRn = Array.fill(nb)(Vec.zeros(m.d))
-    val dSn = Array.fill(nb)(Vec.zeros(m.d))
+  private def lossGrad(k: MemberKernel, objective: Objective, margin: Double,
+                       head: Array[Double], gHead: Array[Double],
+                       nPos: Int, posR: Int => Array[Double], posS: Int => Array[Double],
+                       nNeg: Int, negR: Int => Array[Double], negS: Int => Array[Double]): Double = {
+    k.clear()
+    var p = 0
+    objective match {
+      case Triplet => // per positive: r, s, and one negative r and s
+        while (p < nPos) {
+          k.add(posR(p)); k.add(posS(p)); k.add(negR(p % nNeg)); k.add(negS(p % nNeg))
+          p += 1
+        }
+      case Contrastive | Classification => // every positive pair, then every negative pair
+        while (p < nPos) { k.add(posR(p)); k.add(posS(p)); p += 1 }
+        var i = 0
+        while (i < nNeg) { k.add(negR(i)); k.add(negS(i)); i += 1 }
+    }
+    k.forward()
+    objective match {
+      case Contrastive => contrastive(k, nPos, nNeg)
+      case Triplet => triplet(k, nPos, margin)
+      case Classification => classification(k, head, gHead, nPos, nNeg)
+    }
+  }
 
+  /** Contrastive loss (paper Eq. 8) over records rp_p = 2p, sp_p = 2p + 1,
+    * rn_i = 2b + 2i, sn_i = 2b + 2i + 1; similarity is −‖u − v‖².
+    *
+    * Per positive p the logits are sim(rp, sp), then for each i:
+    * sim(rn_i, sp), sim(rp, sn_i), sim(rn_i, sn_i). dsim/du = −2(u − v), so
+    * each pair's 2(u − v) is kept as a row of `twoDiff` and the gradient
+    * steps read it back: `du −= w·2(u − v)` is `du += w·(−2(u − v))` exactly.
+    * The (rn_i, sn_i) rows and logits do not depend on p and are computed
+    * once per step.
+    */
+  private def contrastive(k: MemberKernel, b: Int, nb: Int): Double = {
+    val out = k.out; val g = k.dOut
+    val nLogit = 1 + 3 * nb
+    val twoDiff = Array.ofDim[Double](nLogit, k.d) // row l: 2(u − v) of logit l's pair
+    val logits = new Array[Double](nLogit)
+    val exps = new Array[Double](nLogit)
+    // −‖u − v‖² of logit l's pair; fills row l
+    def sim(l: Int, u: Array[Double], v: Array[Double]): Double = {
+      val row = twoDiff(l)
+      var s = 0.0; var t = 0
+      while (t < row.length) { val diff = u(t) - v(t); s += diff * diff; row(t) = 2.0 * diff; t += 1 }
+      -s
+    }
+    def addSimGrad(wt: Double, l: Int, du: Array[Double], dv: Array[Double]): Unit = {
+      val row = twoDiff(l)
+      var t = 0
+      while (t < row.length) { du(t) -= wt * row(t); t += 1 }
+      t = 0
+      while (t < row.length) { dv(t) += wt * row(t); t += 1 }
+    }
+    val negLogit = Array.tabulate(nb)(i => sim(3 + 3 * i, out(2 * b + 2 * i), out(2 * b + 2 * i + 1)))
     var total = 0.0
     var p = 0
     while (p < b) {
-      // logits: [sim(rp,sp)] ++ for i: sim(rn_i,sp), sim(rp,sn_i), sim(rn_i,sn_i)
-      val nLogit = 1 + 3 * nb
-      val logits = new Array[Double](nLogit)
-      logits(0) = simNegSq(rp(p), sp(p))
+      val rp = out(2 * p); val sp = out(2 * p + 1)
+      logits(0) = sim(0, rp, sp)
       var i = 0
       while (i < nb) {
-        logits(1 + 3 * i) = simNegSq(rn(i), sp(p))
-        logits(2 + 3 * i) = simNegSq(rp(p), sn(i))
-        logits(3 + 3 * i) = simNegSq(rn(i), sn(i))
+        logits(1 + 3 * i) = sim(1 + 3 * i, out(2 * b + 2 * i), sp)
+        logits(2 + 3 * i) = sim(2 + 3 * i, rp, out(2 * b + 2 * i + 1))
+        logits(3 + 3 * i) = negLogit(i)
         i += 1
       }
-      val mx = logits.max
-      val exps = logits.map(z => math.exp(z - mx))
-      val sum = exps.sum
+      var mx = logits(0)
+      var l = 1
+      while (l < nLogit) { if (logits(l) > mx) mx = logits(l); l += 1 }
+      var sum = 0.0
+      l = 0
+      while (l < nLogit) { exps(l) = math.exp(logits(l) - mx); sum += exps(l); l += 1 }
       total += -(logits(0) - mx) + math.log(sum)
-      // dL/dlogit_j = softmax_j − [j == 0]; dsim(u,v)/du = −2(u−v)
-      def addSimGrad(w: Double, u: Array[Double], v: Array[Double],
-                     du: Array[Double], dv: Array[Double]): Unit = {
-        var t = 0
-        while (t < m.d) {
-          val diff = u(t) - v(t)
-          du(t) += w * (-2.0 * diff)
-          dv(t) += w * (2.0 * diff)
-          t += 1
-        }
-      }
-      val w0 = exps(0) / sum - 1.0
-      addSimGrad(w0, rp(p), sp(p), dRp(p), dSp(p))
+      // dL/dlogit_l = softmax_l − [l == 0]; each record's gradient takes its
+      // terms in logit order
+      val dRp = g(2 * p); val dSp = g(2 * p + 1)
+      addSimGrad(exps(0) / sum - 1.0, 0, dRp, dSp)
       i = 0
       while (i < nb) {
-        addSimGrad(exps(1 + 3 * i) / sum, rn(i), sp(p), dRn(i), dSp(p))
-        addSimGrad(exps(2 + 3 * i) / sum, rp(p), sn(i), dRp(p), dSn(i))
-        addSimGrad(exps(3 + 3 * i) / sum, rn(i), sn(i), dRn(i), dSn(i))
+        val dRn = g(2 * b + 2 * i); val dSn = g(2 * b + 2 * i + 1)
+        addSimGrad(exps(1 + 3 * i) / sum, 1 + 3 * i, dRn, dSp)
+        addSimGrad(exps(2 + 3 * i) / sum, 2 + 3 * i, dRp, dSn)
+        addSimGrad(exps(3 + 3 * i) / sum, 3 + 3 * i, dRn, dSn)
         i += 1
       }
       p += 1
     }
-    val gU = Vec.zeros(m.u.length)
-    var i = 0
-    while (i < b) {
-      m.backprop(pos(i)._1, rp(i), dRp(i), gU)
-      m.backprop(pos(i)._2, sp(i), dSp(i), gU)
-      i += 1
-    }
-    i = 0
-    while (i < nb) {
-      m.backprop(negR(i), rn(i), dRn(i), gU)
-      m.backprop(negS(i), sn(i), dSn(i), gU)
-      i += 1
-    }
-    Vec.scaleI(gU, 1.0 / b)
-    (total / b, gU)
+    k.backward(1.0 / b)
+    total / b
   }
 
-  /** Mean loss and dLoss/dU of one triplet mini-batch (Table 5 ablation;
-    * euclidean distance, margin 1, one negative per anchor, no mining).
+  /** Triplet loss (Table 5 ablation; euclidean distance, one negative per
+    * anchor, no mining) over records rp = 4p, sp = 4p + 1, rn = 4p + 2,
+    * sn = 4p + 3.
     */
-  private[core] def tripletLossGrad(m: Member,
-                          pos: IndexedSeq[(Array[Double], Array[Double])],
-                          negR: IndexedSeq[Array[Double]],
-                          negS: IndexedSeq[Array[Double]],
-                          margin: Double): (Double, Array[Double]) = {
-    val b = pos.length
-    val gU = Vec.zeros(m.u.length)
+  private def triplet(k: MemberKernel, b: Int, margin: Double): Double = {
+    val out = k.out; val g = k.dOut
+    def dist(u: Array[Double], v: Array[Double]): Double = math.sqrt(Vec.distSq(u, v))
+    def addDistGrad(wt: Double, u: Array[Double], v: Array[Double],
+                    du: Array[Double], dv: Array[Double]): Unit = {
+      val dd = math.max(dist(u, v), 1e-9)
+      var t = 0
+      while (t < u.length) {
+        val gmag = wt * (u(t) - v(t)) / dd
+        du(t) += gmag; dv(t) -= gmag
+        t += 1
+      }
+    }
     var total = 0.0
     var p = 0
     while (p < b) {
-      val erp = pos(p)._1; val esp = pos(p)._2
-      val ern = negR(p % negR.length); val esn = negS(p % negS.length)
-      val rp = m.encode(erp); val sp = m.encode(esp)
-      val rn = m.encode(ern); val sn = m.encode(esn)
-      val dRp = Vec.zeros(m.d); val dSp = Vec.zeros(m.d)
-      val dRn = Vec.zeros(m.d); val dSn = Vec.zeros(m.d)
-      def dist(u: Array[Double], v: Array[Double]): Double = math.sqrt(Vec.distSq(u, v))
-      def addDistGrad(w: Double, u: Array[Double], v: Array[Double],
-                      du: Array[Double], dv: Array[Double]): Unit = {
-        val dd = math.max(dist(u, v), 1e-9)
-        var t = 0
-        while (t < m.d) {
-          val gmag = w * (u(t) - v(t)) / dd
-          du(t) += gmag; dv(t) -= gmag
-          t += 1
-        }
-      }
+      val rp = out(4 * p); val sp = out(4 * p + 1); val rn = out(4 * p + 2); val sn = out(4 * p + 3)
+      val dRp = g(4 * p); val dSp = g(4 * p + 1); val dRn = g(4 * p + 2); val dSn = g(4 * p + 3)
       val dPos = dist(rp, sp)
       val t1 = dPos - dist(rp, sn) + margin
       if (t1 > 0) {
@@ -335,48 +460,45 @@ object Committee {
         addDistGrad(1.0, sp, rp, dSp, dRp)
         addDistGrad(-1.0, sp, rn, dSp, dRn)
       }
-      m.backprop(erp, rp, dRp, gU)
-      m.backprop(esp, sp, dSp, gU)
-      m.backprop(ern, rn, dRn, gU)
-      m.backprop(esn, sn, dSn, gU)
       p += 1
     }
-    Vec.scaleI(gU, 1.0 / b)
-    (total / b, gU)
+    k.backward(1.0 / b)
+    total / b
   }
 
-  /** Mean loss and gradients of one SentenceBERT-style classification batch
-    * (Table 5 ablation and the SentenceBERT baseline): linear head on
-    * [u; v; |u−v|], cross-entropy.
+  /** SentenceBERT-style classification (Table 5 ablation and the
+    * SentenceBERT baseline): linear head on [u; v; |u−v|], cross-entropy,
+    * over examples u = 2e, v = 2e + 1; the first `nPos` are duplicates.
     */
-  private[core] def classificationLossGrad(m: Member, head: Array[Double],
-                                 pos: IndexedSeq[(Array[Double], Array[Double])],
-                                 negR: IndexedSeq[Array[Double]],
-                                 negS: IndexedSeq[Array[Double]]): (Double, Array[Double], Array[Double]) = {
-    val d = m.d
-    val gU = Vec.zeros(m.u.length)
-    val gHead = Vec.zeros(head.length)
+  private def classification(k: MemberKernel, head: Array[Double], gHead: Array[Double],
+                             nPos: Int, nNeg: Int): Double = {
+    val d = k.d
+    java.util.Arrays.fill(gHead, 0.0)
     var total = 0.0
-    var n = 0
-
-    def example(er: Array[Double], es: Array[Double], y: Double): Unit = {
-      val u = m.encode(er); val v = m.encode(es)
-      val feat = new Array[Double](3 * d)
-      var i = 0
-      while (i < d) {
-        feat(i) = u(i); feat(d + i) = v(i); feat(2 * d + i) = math.abs(u(i) - v(i))
-        i += 1
-      }
+    val n = nPos + nNeg
+    var e = 0
+    while (e < n) {
+      val y = if (e < nPos) 1.0 else 0.0
+      val u = k.out(2 * e); val v = k.out(2 * e + 1)
+      // score over the features [u; v; |u−v|], in that order
       var score = head(3 * d)
+      var i = 0
+      while (i < d) { score += head(i) * u(i); i += 1 }
       i = 0
-      while (i < 3 * d) { score += head(i) * feat(i); i += 1 }
+      while (i < d) { score += head(d + i) * v(i); i += 1 }
+      i = 0
+      while (i < d) { score += head(2 * d + i) * math.abs(u(i) - v(i)); i += 1 }
       val prob = Mlp.sigmoid(score)
       total += Mlp.bceFromLogit(score, y)
       val dScore = prob - y
       i = 0
-      while (i < 3 * d) { gHead(i) += dScore * feat(i); i += 1 }
+      while (i < d) { gHead(i) += dScore * u(i); i += 1 }
+      i = 0
+      while (i < d) { gHead(d + i) += dScore * v(i); i += 1 }
+      i = 0
+      while (i < d) { gHead(2 * d + i) += dScore * math.abs(u(i) - v(i)); i += 1 }
       gHead(3 * d) += dScore
-      val du = Vec.zeros(d); val dv = Vec.zeros(d)
+      val du = k.dOut(2 * e); val dv = k.dOut(2 * e + 1)
       i = 0
       while (i < d) {
         val sgn = math.signum(u(i) - v(i))
@@ -384,18 +506,60 @@ object Committee {
         dv(i) = dScore * (head(d + i) - head(2 * d + i) * sgn)
         i += 1
       }
-      m.backprop(er, u, du, gU)
-      m.backprop(es, v, dv, gU)
-      n += 1
+      e += 1
     }
-
-    pos.foreach { case (er, es) => example(er, es, 1.0) }
-    var i = 0
-    while (i < negR.length) { example(negR(i), negS(i), 0.0); i += 1 }
     val inv = 1.0 / math.max(1, n)
-    Vec.scaleI(gU, inv); Vec.scaleI(gHead, inv)
-    (total / math.max(1, n), gU, gHead)
+    Vec.scaleI(gHead, inv)
+    k.backward(inv)
+    total / math.max(1, n)
   }
+
+  /** One batch given as sequences, through [[lossGrad]] on a fresh kernel:
+    * (mean loss, dLoss/dU, dLoss/dhead).
+    */
+  private def batchLossGrad(m: Member, objective: Objective, margin: Double, head: Array[Double],
+                            pos: IndexedSeq[(Array[Double], Array[Double])],
+                            negR: IndexedSeq[Array[Double]],
+                            negS: IndexedSeq[Array[Double]]): (Double, Array[Double], Array[Double]) = {
+    require(negR.length == negS.length, "negatives come in (r, s) pairs")
+    // room for any objective: 2 records per positive, and 2 per negative or per positive
+    val k = new MemberKernel(m, 2 * pos.length + 2 * math.max(pos.length, negR.length))
+    val gHead = new Array[Double](head.length)
+    val loss = lossGrad(k, objective, margin, head, gHead,
+                        pos.length, pos(_)._1, pos(_)._2, negR.length, negR, negS)
+    (loss, k.gU, gHead)
+  }
+
+  /** Mean loss and dLoss/dU of one contrastive mini-batch (paper Eq. 8),
+    * computed by the training step itself. Package-private so the test suite
+    * can finite-difference check it.
+    */
+  private[core] def contrastiveLossGrad(m: Member,
+                              pos: IndexedSeq[(Array[Double], Array[Double])],
+                              negR: IndexedSeq[Array[Double]],
+                              negS: IndexedSeq[Array[Double]]): (Double, Array[Double]) = {
+    val (loss, gU, _) = batchLossGrad(m, Contrastive, Margin, Array.emptyDoubleArray, pos, negR, negS)
+    (loss, gU)
+  }
+
+  /** Mean loss and dLoss/dU of one triplet mini-batch (Table 5 ablation);
+    * positive p takes the negatives at p mod their count.
+    */
+  private[core] def tripletLossGrad(m: Member,
+                          pos: IndexedSeq[(Array[Double], Array[Double])],
+                          negR: IndexedSeq[Array[Double]],
+                          negS: IndexedSeq[Array[Double]],
+                          margin: Double): (Double, Array[Double]) = {
+    val (loss, gU, _) = batchLossGrad(m, Triplet, margin, Array.emptyDoubleArray, pos, negR, negS)
+    (loss, gU)
+  }
+
+  /** Mean loss and gradients (U, head) of one classification batch. */
+  private[core] def classificationLossGrad(m: Member, head: Array[Double],
+                                 pos: IndexedSeq[(Array[Double], Array[Double])],
+                                 negR: IndexedSeq[Array[Double]],
+                                 negS: IndexedSeq[Array[Double]]): (Double, Array[Double], Array[Double]) =
+    batchLossGrad(m, Classification, Margin, head, pos, negR, negS)
 }
 
 /** Views over the shared base embedding, used for indexing/retrieval. */

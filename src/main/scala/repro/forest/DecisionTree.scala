@@ -4,9 +4,9 @@ import repro.util.Rnd
 
 /** CART decision tree with gini impurity and random feature subsets at each
   * split (the randomisation that makes a forest, per Breiman). Trees are
-  * immutable after fitting and serializable for broadcast scoring.
+  * immutable after fitting.
   */
-sealed trait TreeNode extends Serializable
+sealed trait TreeNode
 final case class Leaf(prob: Double) extends TreeNode
 final case class Split(feature: Int, threshold: Double,
                        left: TreeNode, right: TreeNode) extends TreeNode

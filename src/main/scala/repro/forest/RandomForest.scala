@@ -7,7 +7,7 @@ import repro.util.Rnd
   * remarkably well", Meduri et al.). Bootstrap per tree doubles as the
   * committee construction of Mozafari et al.'s QBC.
   */
-final class RandomForest(val trees: IndexedSeq[TreeNode]) extends Serializable {
+final class RandomForest(val trees: IndexedSeq[TreeNode]) {
 
   /** Fraction of trees voting duplicate — both the prediction probability
     * and the committee's #match/m for variance-based selection.

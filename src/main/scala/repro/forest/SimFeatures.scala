@@ -9,7 +9,7 @@ import repro.text.Tokenizer
   * similarity (1 − relative difference when both values parse as numbers,
   * else 0). Plus two whole-record features: token Jaccard and overlap.
   */
-object SimFeatures extends Serializable {
+object SimFeatures {
 
   def nFeatures(nAttrs: Int): Int = 4 * nAttrs + 2
 

@@ -12,18 +12,24 @@ import repro.util.Rnd
 import scala.jdk.CollectionConverters._
 
 /** A retrieval view as plain data, so the reference scan can ship it to
-  * Spark tasks; `view` builds the program's view from it.
+  * Spark tasks. `view` builds the program's view from it; `reference`
+  * builds the view the reference scan uses, which for a committee member
+  * encodes with the per-record reference arithmetic ([[ReferenceKernel]]).
   */
-sealed trait ViewSpec extends Serializable { def view: EmbView }
+sealed trait ViewSpec extends Serializable {
+  def view: EmbView
+  def reference: EmbView = view
+}
 case object PlainSpec extends ViewSpec { def view: EmbView = new PlainView }
 final case class ScaleSpec(g: Array[Double]) extends ViewSpec { def view: EmbView = new ScaleView(g) }
 final case class MemberSpec(g: Array[Double], mask: Array[Double], u: Array[Double]) extends ViewSpec {
   def view: EmbView = new MemberView(g, new Member(g.length, mask, u))
+  override def reference: EmbView = new ReferenceMemberView(g, mask, u)
 }
 
 /** The Spark retrieval that CAND came from before it moved to the driver,
   * kept as the reference: a `mapPartitions` scan that encodes each S record
-  * once and probes every member's index through its view, then
+  * once and probes every member's index through its reference view, then
   * `groupBy`/`min`/`orderBy`/`limit` over the hits. A top-level object so
   * its closures capture no test suite.
   */
@@ -42,7 +48,7 @@ object SparkCandReference {
     val projected = ds.sDF(spark).select((Seq("id") ++ ds.schema).map(col): _*)
     val rdd = projected.rdd.mapPartitions { rows =>
       val e = bcEmb.value
-      val vs = bcSpecs.value.map(_.view)
+      val vs = bcSpecs.value.map(_.reference)
       val idxs = Blocker.buildIndexes(bcR.value, vs)
       rows.flatMap { row =>
         val id = row.getInt(0)

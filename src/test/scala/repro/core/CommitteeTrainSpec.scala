@@ -4,15 +4,17 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.ml.Adam
 import repro.util.Rnd
 
-/** Concurrent committee training must equal the member-after-member loop
-  * bit for bit: every member's U, every classification head and the
-  * returned loss, compared with exact `==` on doubles.
+/** Committee training must equal the member-after-member loop over the
+  * per-record reference arithmetic ([[ReferenceKernel]]) bit for bit: every
+  * member's U, every classification head and the returned loss, compared
+  * with exact `==` on doubles.
   */
 class CommitteeTrainSpec extends AnyFunSuite {
   private val d = 8
 
   /** The sequential training loop, kept as the reference: one shared `rng`,
-    * members stepped one after another inside each mini-batch step.
+    * members stepped one after another inside each mini-batch step, each
+    * step computed by [[ReferenceKernel]] and AdamW over the whole of U.
     */
   private def sequentialTrain(c: Committee, cfg: Committee.TrainConfig,
                               pos: IndexedSeq[(Array[Double], Array[Double])],
@@ -56,13 +58,13 @@ class CommitteeTrainSpec extends AnyFunSuite {
           }
           val loss = cfg.objective match {
             case Contrastive =>
-              val (l, gU) = Committee.contrastiveLossGrad(m, batchPos, nr, ns)
+              val (l, gU) = ReferenceKernel.contrastiveLossGrad(m, batchPos, nr, ns)
               adams(k).step(m.u, gU); l
             case Triplet =>
-              val (l, gU) = Committee.tripletLossGrad(m, batchPos, nr, ns, Committee.Margin)
+              val (l, gU) = ReferenceKernel.tripletLossGrad(m, batchPos, nr, ns, Committee.Margin)
               adams(k).step(m.u, gU); l
             case Classification =>
-              val (l, gU, gHead) = Committee.classificationLossGrad(m, heads(k), batchPos, nr, ns)
+              val (l, gU, gHead) = ReferenceKernel.classificationLossGrad(m, heads(k), batchPos, nr, ns)
               adams(k).step(m.u, gU); headAdams(k).step(heads(k), gHead); l
           }
           epochLoss += loss; nTerms += 1
@@ -76,8 +78,11 @@ class CommitteeTrainSpec extends AnyFunSuite {
     (lastLoss, heads)
   }
 
+  private type World = (IndexedSeq[(Array[Double], Array[Double])], IndexedSeq[Array[Double]],
+                        IndexedSeq[Array[Double]], IndexedSeq[(Array[Double], Array[Double])])
+
   // 40 positives: two full batches of 16 and a ragged one of 8 per epoch
-  private val world = {
+  private val world: World = {
     val g = new Rnd.Gen(90)
     def vec() = Array.fill(d)(g.nextGaussian())
     val pos = IndexedSeq.fill(40) {
@@ -93,22 +98,74 @@ class CommitteeTrainSpec extends AnyFunSuite {
     (Contrastive, RandomNegs), (Triplet, RandomNegs),
     (Classification, LabeledNegs), (Contrastive, LabeledNegs))
 
+  private def assertMatchesReference(world: World, d: Int, objective: Objective, negMode: NegMode,
+                                     n: Int, reps: Int): Unit = {
+    val (pos, rPool, sPool, labeledNegs) = world
+    val cfg = Committee.TrainConfig(objective = objective, negMode = negMode, epochs = 4)
+    val ref = Committee.init(n, d, 0.75, seed = 91)
+    val (refLoss, refHeads) =
+      sequentialTrain(ref, cfg, pos, rPool, sPool, labeledNegs, new Rnd.Gen(92))
+    (1 to reps).foreach { rep =>
+      val com = Committee.init(n, d, 0.75, seed = 91)
+      val (loss, heads) =
+        Committee.trainWithHeads(com, cfg, pos, rPool, sPool, labeledNegs, new Rnd.Gen(92))
+      assert(loss == refLoss, s"repetition $rep: loss $loss vs $refLoss")
+      (0 until n).foreach { k =>
+        assert(com.members(k).u.sameElements(ref.members(k).u), s"repetition $rep: member $k U")
+        assert(heads(k).sameElements(refHeads(k)), s"repetition $rep: member $k head")
+      }
+    }
+  }
+
   for ((objective, negMode) <- cases; n <- Seq(1, 3, 10)) {
     test(s"concurrent training is bit-identical to the sequential loop: $objective × $negMode, N=$n") {
-      val (pos, rPool, sPool, labeledNegs) = world
-      val cfg = Committee.TrainConfig(objective = objective, negMode = negMode, epochs = 4)
-      val ref = Committee.init(n, d, 0.75, seed = 91)
-      val (refLoss, refHeads) =
-        sequentialTrain(ref, cfg, pos, rPool, sPool, labeledNegs, new Rnd.Gen(92))
-      (1 to 5).foreach { rep =>
-        val com = Committee.init(n, d, 0.75, seed = 91)
-        val (loss, heads) =
-          Committee.trainWithHeads(com, cfg, pos, rPool, sPool, labeledNegs, new Rnd.Gen(92))
-        assert(loss == refLoss, s"repetition $rep: loss $loss vs $refLoss")
-        (0 until n).foreach { k =>
-          assert(com.members(k).u.sameElements(ref.members(k).u), s"repetition $rep: member $k U")
-          assert(heads(k).sameElements(refHeads(k)), s"repetition $rep: member $k head")
+      assertMatchesReference(world, d, objective, negMode, n, reps = 5)
+    }
+  }
+
+  /** The production shape: d = 64, 40 positives (batches of 16, 16 and a
+    * ragged 8). Every pool holds an all-zero record (what `recordVec` gives
+    * an empty record) and records with exact +0.0 and −0.0 entries.
+    */
+  private val productionD = 64
+  private lazy val productionWorld: World = {
+    val g = new Rnd.Gen(95)
+    def vec(): Array[Double] = Array.tabulate(productionD) { i =>
+      if (i % 7 == 3) 0.0 else if (i % 11 == 5) -0.0 else 0.3 * g.nextGaussian()
+    }
+    def zero(): Array[Double] = new Array[Double](productionD)
+    val pos = IndexedSeq.tabulate(40) { p =>
+      val e = if (p == 5) zero() else vec()
+      (e, if (p == 9) zero() else e.map(_ + 0.1 * g.nextGaussian()))
+    }
+    val rPool = IndexedSeq.tabulate(60)(i => if (i % 20 == 0) zero() else vec())
+    val sPool = IndexedSeq.tabulate(70)(i => if (i % 23 == 1) zero() else vec())
+    val labeledNegs = IndexedSeq.tabulate(25)(i => (if (i == 2) zero() else vec(), if (i == 7) zero() else vec()))
+    (pos, rPool, sPool, labeledNegs)
+  }
+
+  for ((objective, negMode) <- cases; n <- Seq(1, 3)) {
+    test(s"training equals the per-record reference at d = 64 with zero records: $objective × $negMode, N=$n") {
+      assertMatchesReference(productionWorld, productionD, objective, negMode, n, reps = 2)
+    }
+  }
+
+  for ((objective, negMode) <- cases) {
+    test(s"training never moves a masked column of U: $objective × $negMode") {
+      val (pos, rPool, sPool, labeledNegs) = productionWorld
+      val init = Committee.init(3, productionD, 0.75, seed = 96)
+      val com = Committee.init(3, productionD, 0.75, seed = 96)
+      Committee.train(com, Committee.TrainConfig(objective = objective, negMode = negMode, epochs = 3),
+                      pos, rPool, sPool, labeledNegs, new Rnd.Gen(97))
+      com.members.zip(init.members).foreach { case (m, m0) =>
+        val masked = m.mask.indices.filter(m.mask(_) == 0.0)
+        assert(masked.nonEmpty)
+        for (j <- 0 until productionD; i <- masked) {
+          val at = j * (productionD + 1) + i
+          assert(java.lang.Double.doubleToRawLongBits(m.u(at)) ==
+                 java.lang.Double.doubleToRawLongBits(m0.u(at)), s"U($j, $i) moved")
         }
+        assert(!m.u.sameElements(m0.u), "training moved no weight at all")
       }
     }
   }
