@@ -224,7 +224,8 @@ object Committee {
             rng: Rnd.Gen): Double =
     trainWithHeads(c, cfg, pos, rPool, sPool, labeledNegs, rng)._1
 
-  /** [[train]], also returning each member's classification head.
+  /** [[train]], also returning each member's classification head (empty
+    * unless `cfg.objective` is Classification).
     *
     * Every draw from `rng` is taken up front as index arrays, in the order a
     * member-after-member loop would take them: per step, the epoch's
@@ -283,11 +284,14 @@ object Committee {
       val member = c.members(k)
       val kernel = new MemberKernel(member, 4 * cfg.batch)
       val adam = new Adam(member.u.length, Lr, weightDecay = 0.0)
-      // classification objective keeps a per-member linear head on [u; v; |u−v|]
-      val head = {
-        val g = new Rnd.Gen(Rnd.combine(0xC1A55L, k))
-        Array.fill(3 * d + 1)(0.01 * g.nextGaussian())
-      }
+      // only the classification objective keeps a per-member linear head on
+      // [u; v; |u−v|]; it draws from its own generator
+      val head =
+        if (cfg.objective != Classification) Array.emptyDoubleArray
+        else {
+          val g = new Rnd.Gen(Rnd.combine(0xC1A55L, k))
+          Array.fill(3 * d + 1)(0.01 * g.nextGaussian())
+        }
       val gHead = new Array[Double](head.length)
       val headAdam = new Adam(head.length, Lr)
       val lastEpoch = new Array[Double](stepsPerEpoch) // per-step losses, final epoch

@@ -19,10 +19,11 @@ import scala.collection.mutable
   * These are fixed (not trained); the trainable part of the paired
   * representation is the embedding path (|u−v|, u⊙v) in [[Matcher]].
   *
-  * The features are defined over the records' token sets, trigram sets and
-  * Scala `Set` operations (`PairFeaturesSpec` keeps that definition as its
-  * reference). They are computed from two [[RecordProfile]]s by merge-joins
-  * over interned ids, and equal the set definition bit for bit.
+  * The features are defined over the records' token sets and trigram sets,
+  * with every floating-point sum running in token order (`String.compareTo`);
+  * `PairFeaturesSpec` keeps that definition as its reference. They are
+  * computed from two [[RecordProfile]]s by merge-joins over token ranks and
+  * interned trigram ids, and equal the definition exactly.
   */
 object PairFeatures {
   val nScalar = 7
@@ -36,7 +37,7 @@ object PairFeatures {
 
   /** Build IDF weights log(1 + N/df) from a corpus of records' token sets. */
   def idfFrom(tokenSets: Iterable[Set[String]]): Map[String, Double] = {
-    val df = scala.collection.mutable.HashMap.empty[String, Int]
+    val df = mutable.HashMap.empty[String, Int]
     var n = 0
     tokenSets.foreach { ts => n += 1; ts.foreach(t => df(t) = df.getOrElse(t, 0) + 1) }
     df.iterator.map { case (t, c) => t -> math.log(1.0 + n.toDouble / c) }.toMap
@@ -46,53 +47,26 @@ object PairFeatures {
     * [[PairFeaturizer.profiles]] call (or one [[PairFeaturizer.scalars]]).
     *
     * Jaccard and overlap values are ratios of integer counts. The
-    * IDF-weighted Jaccard and the alignment score are floating-point sums
-    * whose value depends on the order of their terms, so each runs in the
-    * iteration order of the `Set` the definition sums over; see
-    * [[setOrderSum]]. The alignment's token-by-token trigram-Jaccard matrix
-    * is computed once and read by row for the r → s direction, by column
-    * for s → r, and over digit tokens for the model-number similarity.
+    * IDF-weighted Jaccard and the alignment score are floating-point sums,
+    * run in token order: a profile holds its tokens by ascending rank, and
+    * rank order is token order. The alignment's token-by-token
+    * trigram-Jaccard matrix is computed once and read by row for the
+    * r → s direction, by column for s → r, and over digit tokens for the
+    * model-number similarity.
     */
   def scalars(r: RecordProfile, s: RecordProfile): Array[Double] = {
     val nr = r.toks.length
     val ns = s.toks.length
 
-    // Union and intersection of the token sets, merged in trie-key order.
-    val uKey = new Array[Int](nr + ns); val uW = new Array[Double](nr + ns)
-    val iKey = new Array[Int](math.min(nr, ns)); val iW = new Array[Double](math.min(nr, ns))
-    var nu, ni, i, j = 0
+    // Intersection count and the intersection and union weights, one merge.
+    var interSum, unionSum = 0.0
+    var ni, i, j = 0
     while (i < nr || j < ns) {
-      val a = if (i < nr) r.trie(i) else Long.MaxValue
-      val b = if (j < ns) s.trie(j) else Long.MaxValue
-      if (a <= b) { uKey(nu) = (a >> 32).toInt; uW(nu) = r.trieWeights(i); i += 1 }
-      else { uKey(nu) = (b >> 32).toInt; uW(nu) = s.trieWeights(j); j += 1 }
-      nu += 1
-      if (a == b) { iKey(ni) = (a >> 32).toInt; iW(ni) = r.trieWeights(i - 1); ni += 1; j += 1 }
+      if (j == ns || (i < nr && r.toks(i) < s.toks(j))) { unionSum += r.weights(i); i += 1 }
+      else if (i == nr || s.toks(j) < r.toks(i)) { unionSum += s.weights(j); j += 1 }
+      else { interSum += r.weights(i); unionSum += r.weights(i); ni += 1; i += 1; j += 1 }
     }
-
-    val idfJac =
-      if (nu == 0) 0.0
-      else if (hasEqualNeighbours(uKey, nu)) r.featurizer.setIdfJac(r.attrs, s.attrs)
-      else {
-        // Set1–Set4 keep insertion order: `intersect` filters r's set in its
-        // order, `union` appends s's new tokens in s's order. Larger sets
-        // (and any `filter` of a HashSet) are HashSets.
-        val interSum =
-          if (nr <= 4) {
-            var sum = 0.0; var k = 0
-            while (k < nr) { if (s.toks.contains(r.toks(k))) sum += r.weights(k); k += 1 }
-            sum
-          } else setOrderSum(iKey, iW, ni)
-        val unionSum =
-          if (nu <= 4) {
-            var sum = 0.0; var k = 0
-            while (k < nr) { sum += r.weights(k); k += 1 }
-            k = 0
-            while (k < ns) { if (!r.toks.contains(s.toks(k))) sum += s.weights(k); k += 1 }
-            sum
-          } else setOrderSum(uKey, uW, nu)
-        interSum / unionSum
-      }
+    val idfJac = if (nr == 0 && ns == 0) 0.0 else interSum / unionSum
 
     // Token-by-token trigram Jaccard: row and column maxima, and the maximum
     // and an exact match over pairs of digit-holding tokens.
@@ -142,7 +116,7 @@ object PairFeatures {
   /** IDF-weighted greedy token alignment: each token's weight times its best
     * trigram-Jaccard partner on the other side, over the total weight —
     * typos keep high alignment, replaced tokens do not. The proxy for soft
-    * cross-attention over token pairs. Summed in the record's set order.
+    * cross-attention over token pairs. Summed in token order.
     */
   private def alignScore(weights: Array[Double], best: Array[Double]): Double = {
     var num = 0.0; var den = 0.0; var k = 0
@@ -165,104 +139,21 @@ object PairFeatures {
     }
     jaccard(inter, a.length, b.length)
   }
-
-  // ------------------------------------------------- HashSet iteration order
-
-  /** Scala's `HashSet` hash spreader (`scala.collection.Hashing.improve`). */
-  private def improve(hcode: Int): Int = {
-    var h = hcode + ~(hcode << 9)
-    h = h ^ (h >>> 14)
-    h = h + (h << 4)
-    h ^ (h >>> 10)
-  }
-
-  /** A token's position in a `HashSet` trie: the 5-bit chunks of its
-    * improved hash from the root down (chunk 0 in the top bits, the 2-bit
-    * chunk 6 at the bottom), sign-flipped so that `Int` order is trie order.
-    * Equal keys mean equal `hashCode`s. Profiles order their tokens by
-    * (trie key, id), the order the merge-joins walk.
-    */
-  private[core] def trieKey(token: String): Int = {
-    val h = improve(token.##)
-    var k = 0; var l = 0
-    while (l < 6) { k = (k << 5) | ((h >>> (5 * l)) & 31); l += 1 }
-    ((k << 2) | (h >>> 30)) ^ Int.MinValue
-  }
-
-  private def hasEqualNeighbours(keys: Array[Int], n: Int): Boolean = {
-    var k = 1
-    while (k < n && keys(k - 1) != keys(k)) k += 1
-    k < n
-  }
-
-  /** Σ `w` in the iteration order of an immutable `HashSet` of the
-    * elements with trie keys `keys(0 until n)` (ascending, all distinct).
-    *
-    * A `HashSet` is a CHAMP trie whose shape is a function of its elements:
-    * an element sits in the payload of the first node where no other
-    * element shares its hash chunk, i.e. at the depth one past its longest
-    * common chunk prefix with any other element (an adjacent one in trie
-    * order). Iteration visits a node's payload before its sub-nodes, each
-    * by ascending chunk. Elements whose full hashes are equal share a
-    * collision node ordered by insertion history, which this does not
-    * model; the caller rules them out. The low 20 bits of the sort key
-    * carry the element's index, so n stays below 2^20 (a pair's tokens).
-    */
-  private def setOrderSum(keys: Array[Int], w: Array[Double], n: Int): Double = {
-    val order = new Array[Long](n)
-    var i = 0
-    while (i < n) {
-      val depth = math.max(if (i > 0) sharedChunks(keys(i - 1), keys(i)) else 0,
-                           if (i + 1 < n) sharedChunks(keys(i), keys(i + 1)) else 0)
-      order(i) = (iterationKey(keys(i), depth) << 20) | i
-      i += 1
-    }
-    java.util.Arrays.sort(order)
-    var sum = 0.0
-    i = 0
-    while (i < n) { sum += w((order(i) & 0xFFFFF).toInt); i += 1 }
-    sum
-  }
-
-  /** Leading hash chunks two distinct trie keys share. */
-  private def sharedChunks(a: Int, b: Int): Int = Integer.numberOfLeadingZeros(a ^ b) / 5
-
-  /** Sort key of an element stored in the payload at `depth`: one 6-bit
-    * digit per level, 32 + chunk for each sub-node passed through and the
-    * bare chunk at the payload level, so a node's payload sorts before its
-    * sub-nodes.
-    */
-  private def iterationKey(key: Int, depth: Int): Long = {
-    val u = key ^ Int.MinValue
-    var p = 0L; var l = 0
-    while (l <= depth) {
-      val c = if (l < 6) (u >>> (27 - 5 * l)) & 31 else u & 3
-      p = (p << 6) | (if (l < depth) 32 + c else c)
-      l += 1
-    }
-    p << (6 * (6 - depth))
-  }
 }
 
 /** What the pair features need of one record, computed once per record.
-  * Per distinct token, in the iteration order of the record's token `Set`
-  * (the order the feature sums run in): its interned id, IDF weight, sorted
-  * distinct trigram ids and whether it holds a digit. The same tokens as
-  * (trie key, id) packed into a `Long` (see `PairFeatures.trieKey`),
-  * ascending, with their weights, for merge-joins. And the sorted distinct
-  * trigram ids of the whole record. Ids are those of the dictionary of the
-  * call that built the profile; profiles pair only with profiles of the
-  * same call.
+  * Per distinct token, ascending by rank: its rank, IDF weight, sorted
+  * distinct trigram ids and whether it holds a digit. And the sorted
+  * distinct trigram ids of the whole record. A token's rank is its position
+  * among the sorted distinct tokens of the call that built the profile, and
+  * trigram ids are interned by that call; profiles pair only with profiles
+  * of the same call.
   */
 final class RecordProfile private[core] (
-    private[core] val attrs: Seq[String],
-    private[core] val featurizer: PairFeaturizer,
     private[core] val toks: Array[Int],
     private[core] val weights: Array[Double],
     private[core] val tokGrams: Array[Array[Int]],
     private[core] val isDigit: Array[Boolean],
-    private[core] val trie: Array[Long],
-    private[core] val trieWeights: Array[Double],
     private[core] val grams: Array[Int],
 )
 
@@ -274,66 +165,46 @@ final class PairFeaturizer(idf: Map[String, Double]) extends Serializable {
 
   /** Features of one pair, profiling just these two records. */
   def scalars(rAttrs: Seq[String], sAttrs: Seq[String]): Array[Double] = {
-    val dict = new PairFeaturizer.Dictionary(this)
-    val rIds = dict.intern(PairFeaturizer.setOrder(rAttrs))
-    val sIds = dict.intern(PairFeaturizer.setOrder(sAttrs))
-    PairFeatures.scalars(dict.profile(rAttrs, rIds), dict.profile(sAttrs, sIds))
+    val toks = IndexedSeq(rAttrs, sAttrs).map(PairFeaturizer.distinctTokens)
+    val dict = new PairFeaturizer.Dictionary(this, toks)
+    PairFeatures.scalars(dict.profile(0), dict.profile(1))
   }
 
   /** Profiles of `records` under one dictionary, so that any two of them
-    * pair. Tokenising and assembling run concurrently per record;
-    * interning runs on the caller's thread in record order.
+    * pair. Tokenising and assembling run concurrently per record; ranking
+    * the tokens and interning the trigrams run on the caller's thread.
     */
   def profiles(records: IndexedSeq[Seq[String]]): IndexedSeq[RecordProfile] = {
-    val dict = new PairFeaturizer.Dictionary(this)
-    val ids = Par.tabulate(records.length)(i => PairFeaturizer.setOrder(records(i))).map(dict.intern)
-    Par.tabulate(records.length)(i => dict.profile(records(i), ids(i)))
-  }
-
-  /** The IDF-weighted Jaccard by its set definition, for the rare pair with
-    * two distinct tokens of equal `hashCode`, whose `HashSet` order depends
-    * on insertion history.
-    */
-  private[core] def setIdfJac(rAttrs: Seq[String], sAttrs: Seq[String]): Double = {
-    val rToks = Tokenizer.recordTokens(rAttrs).toSet
-    val sToks = Tokenizer.recordTokens(sAttrs).toSet
-    val union = rToks.union(sToks)
-    if (union.isEmpty) 0.0
-    else rToks.intersect(sToks).iterator.map(w).sum / union.iterator.map(w).sum
+    val toks = Par.tabulate(records.length)(i => PairFeaturizer.distinctTokens(records(i)))
+    val dict = new PairFeaturizer.Dictionary(this, toks)
+    Par.tabulate(records.length)(dict.profile)
   }
 }
 
 object PairFeaturizer {
 
-  /** A record's distinct tokens in the iteration order of its token `Set`. */
-  private def setOrder(attrs: Seq[String]): Array[String] =
-    Tokenizer.recordTokens(attrs).toSet.toArray
+  private def distinctTokens(attrs: Seq[String]): Array[String] = Tokenizer.recordTokens(attrs).distinct
 
-  private final class Token(val key: Int, val weight: Double, val grams: Array[Int], val digit: Boolean)
-
-  /** Token and trigram ids of one set of profiles. `intern` is
-    * single-threaded; `profile` only reads and may run concurrently once
-    * interning is done.
+  /** The distinct tokens of `records`, sorted, with each one's weight,
+    * sorted distinct trigram ids and digit flag by rank. `profile` only
+    * reads and may run concurrently.
     */
-  private final class Dictionary(f: PairFeaturizer) {
-    private val tokenIds = mutable.HashMap.empty[String, Int]
-    private val gramIds = mutable.HashMap.empty[String, Int]
-    private val tokens = mutable.ArrayBuffer.empty[Token]
-
-    def intern(toks: Array[String]): Array[Int] = toks.map { t =>
-      tokenIds.getOrElseUpdate(t, {
-        val grams = sortedDistinct(Tokenizer.trigrams(t).map(g => gramIds.getOrElseUpdate(g, gramIds.size)))
-        tokens += new Token(PairFeatures.trieKey(t), f.w(t), grams, t.exists(_.isDigit))
-        tokens.size - 1
-      })
+  private final class Dictionary(f: PairFeaturizer, records: IndexedSeq[Array[String]]) {
+    private val sorted = records.iterator.flatten.distinct.toArray.sorted
+    private val rank = sorted.iterator.zipWithIndex.toMap
+    private val weight = sorted.map(f.w)
+    private val digit = sorted.map(_.exists(_.isDigit))
+    private val grams = {
+      val gramIds = mutable.HashMap.empty[String, Int]
+      def gramId(g: String) = gramIds.getOrElseUpdate(g, gramIds.size)
+      sorted.map(t => sortedDistinct(Tokenizer.trigrams(t).map(gramId)))
     }
 
-    def profile(attrs: Seq[String], ids: Array[Int]): RecordProfile = {
-      val info = ids.map(tokens)
-      val trie = ids.map(id => (tokens(id).key.toLong << 32) | id)
-      java.util.Arrays.sort(trie)
-      new RecordProfile(attrs, f, ids, info.map(_.weight), info.map(_.grams), info.map(_.digit),
-        trie, trie.map(kv => tokens(kv.toInt).weight), sortedDistinct(info.flatMap(_.grams)))
+    def profile(i: Int): RecordProfile = {
+      val ids = records(i).map(rank)
+      java.util.Arrays.sort(ids)
+      new RecordProfile(ids, ids.map(weight(_)), ids.map(grams(_)), ids.map(digit(_)),
+                        sortedDistinct(ids.flatMap(grams(_))))
     }
   }
 

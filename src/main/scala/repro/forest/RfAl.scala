@@ -35,14 +35,20 @@ object RfAl {
       RandomForest.fit(data.map(lp => feat(lp.rId, lp.sId)),
                        data.map(lp => if (lp.y) 1.0 else 0.0), NTrees, roundSeed)
 
+    // the candidates' features, fixed for the run; their time counts
+    // toward the find-all pass
+    val f0 = System.nanoTime()
+    val candFeats = Par.tabulate(cand.size) { i =>
+      val (rId, sId) = cand(i)
+      SimFeatures.features(ds.rById(rId).attrs, ds.sById(sId).attrs)
+    }
+    val featSec = (System.nanoTime() - f0) / 1e9
+
     /** Vote fractions over the whole candidate set, in candidate order,
       * computed concurrently on the driver.
       */
     def score(forest: RandomForest): IndexedSeq[Double] =
-      Par.tabulate(cand.size) { i =>
-        val (rId, sId) = cand(i)
-        forest.voteFraction(SimFeatures.features(ds.rById(rId).attrs, ds.sById(sId).attrs))
-      }
+      Par.tabulate(cand.size)(i => forest.voteFraction(candFeats(i)))
 
     val stats = mutable.ArrayBuffer.empty[RoundStat]
     var finalAll = PRF(0, 0, 0); var finalTest = PRF(0, 0, 0)
@@ -60,7 +66,7 @@ object RfAl {
       stats += RoundStat(round, t.length,
         Metrics.candRecall(cand, ds.dups), testPRF.f1, allPRF.f1)
       if (isFinal) {
-        finalAll = allPRF; finalTest = testPRF; findAllSec = sec
+        finalAll = allPRF; finalTest = testPRF; findAllSec = featSec + sec
       } else {
         val selectable = cand.indices.filterNot(i => labeled.contains(cand(i)) || ds.testSet.contains(cand(i)))
         val byVariance = selectable.sortBy { i =>

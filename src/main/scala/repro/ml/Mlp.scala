@@ -5,8 +5,10 @@ import repro.util.Rnd
 /** The paper's matcher head `F_W`: linear → tanh → linear → (sigmoid outside).
   *
   * Implements forward, manual backprop (checked against finite differences in
-  * the test suite), and serialisation to/from a flat parameter vector so it
-  * can ride a Spark broadcast into scoring UDFs.
+  * the test suite), and copies to/from a flat parameter vector, the layout
+  * the optimiser steps over. The program scores on the driver; instances
+  * stay serializable for the benchmark replay's Spark scoring scan
+  * (`SparkKnn.scorePairs`).
   */
 final class Mlp(val nIn: Int, val nHidden: Int, seed: Long) extends Serializable {
   // Parameters: W1 (nHidden x nIn), b1 (nHidden), w2 (nHidden), b2 (1)

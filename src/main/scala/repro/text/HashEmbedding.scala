@@ -22,8 +22,9 @@ import repro.util.Rnd
   *    recover alignment by reweighting/rotating the scrambled subspace, which
   *    is the mechanism behind Table 3.
   *
-  * Instances are immutable and serializable so they can ride Spark broadcasts
-  * into `mapPartitions` scoring; the per-token cache is transient.
+  * Instances are immutable. The program embeds on the driver; instances stay
+  * serializable (the per-token cache is transient) for the benchmark
+  * replay's Spark scoring scan (`SparkKnn.scorePairs`).
   */
 final class HashEmbedding(
     val d: Int = 64,

@@ -6,8 +6,8 @@ import repro.util.Rnd
 
 /** Committee training must equal the member-after-member loop over the
   * per-record reference arithmetic ([[ReferenceKernel]]) bit for bit: every
-  * member's U, every classification head and the returned loss, compared
-  * with exact `==` on doubles.
+  * member's U, every classification head (Classification objective) and the
+  * returned loss, compared with exact `==` on doubles.
   */
 class CommitteeTrainSpec extends AnyFunSuite {
   private val d = 8
@@ -112,7 +112,8 @@ class CommitteeTrainSpec extends AnyFunSuite {
       assert(loss == refLoss, s"repetition $rep: loss $loss vs $refLoss")
       (0 until n).foreach { k =>
         assert(com.members(k).u.sameElements(ref.members(k).u), s"repetition $rep: member $k U")
-        assert(heads(k).sameElements(refHeads(k)), s"repetition $rep: member $k head")
+        if (objective == Classification)
+          assert(heads(k).sameElements(refHeads(k)), s"repetition $rep: member $k head")
       }
     }
   }

@@ -6,7 +6,8 @@ import repro.data.{ERDataGen, ERDataset}
 import repro.text.{HashEmbedding, Tokenizer}
 
 /** The set-based definition of the pair features, the reference the
-  * profile-based [[PairFeatures]] must equal exactly.
+  * profile-based [[PairFeatures]] must equal exactly. Floating-point sums
+  * run over the tokens in sorted order.
   */
 final class SetPairFeaturizer(idf: Map[String, Double]) {
   private val defaultIdf: Double = if (idf.isEmpty) 1.0 else idf.values.max
@@ -22,7 +23,7 @@ final class SetPairFeaturizer(idf: Map[String, Double]) {
     val union = rToks.union(sToks)
     val idfJac =
       if (union.isEmpty) 0.0
-      else inter.iterator.map(w).sum / union.iterator.map(w).sum
+      else inter.toSeq.sorted.iterator.map(w).sum / union.toSeq.sorted.iterator.map(w).sum
     val rDigit = rToks.filter(_.exists(_.isDigit))
     val sDigit = sToks.filter(_.exists(_.isDigit))
     val digitAgree =
@@ -53,7 +54,7 @@ final class SetPairFeaturizer(idf: Map[String, Double]) {
     if (a.isEmpty || b.isEmpty) return 0.0
     val bSets = b.toSeq.map(t => Tokenizer.trigrams(t).toSet)
     var num = 0.0; var den = 0.0
-    a.foreach { t =>
+    a.toSeq.sorted.foreach { t =>
       val g = Tokenizer.trigrams(t).toSet
       val best = bSets.map(Tokenizer.jaccard(g, _)).max
       val wt = w(t)
@@ -113,7 +114,7 @@ class PairFeaturesSpec extends AnyFunSuite {
   // -------------------------------------------------- generated records
 
   /** Tokens with repeats, digit-only and mixed ids, and two pairs of
-    * distinct tokens with equal `hashCode` (so `HashSet` collision nodes).
+    * distinct tokens with equal `hashCode`.
     */
   private val pool = IndexedSeq("an", "c0", "bn", "d0", "2000", "42", "7", "xj2000", "kx2741b", "a",
     "cat", "cart", "card", "sony", "camera", "digital", "black", "the", "of", "edition",
@@ -181,12 +182,13 @@ class PairFeaturesSpec extends AnyFunSuite {
     Seq(
       (Seq(""), Seq("")),
       (Seq(""), Seq(many)),
-      (Seq("cat of the"), Seq("the cat cart")),        // Set3 ∪ Set3 → HashSet
-      (Seq("a a a cat"), Seq("cat a")),                // repeated tokens, Set2 both
-      (Seq("cat", "42"), Seq(many)),                   // Set2 against a HashSet
+      (Seq("cat of the"), Seq("the cat cart")),        // "cat" unseen, so maximally rare
+      (Seq("a a a cat"), Seq("cat a")),                // repeated tokens
+      (Seq("cat", "42"), Seq(many)),                   // two attributes against one
       (Seq(many), Seq("42 7 2000")),
       (Seq(many + " an"), Seq("c0 sony camera kit v2")), // colliding pair across records
       (Seq(many + " an c0"), Seq("an c0 bn d0 lens")),   // collisions within records
+      (Seq("zoom digital lens"), Seq("edition digital card")), // order-sensitive IDF Jaccard
     ).foreach { case (r, s) =>
       Seq((r, s), (s, r)).foreach { case (a, b) =>
         val got = featurizer.scalars(a, b)
@@ -194,5 +196,10 @@ class PairFeaturesSpec extends AnyFunSuite {
         assert(firstDiff(got, want) < 0, s"$a vs $b: ${show(got)} vs ${show(want)}")
       }
     }
+    // This pair's IDF-weighted Jaccard depends on the order of its sums in
+    // the last bit (a `HashSet` of the union iterates to 0.1619599775575089).
+    // Token order: w(digital) / (w(card) + w(digital) + w(edition) + w(lens) + w(zoom)).
+    assert(featurizer.scalars(Seq("zoom digital lens"), Seq("edition digital card"))(3) ==
+           0.16195997755750888)
   }
 }

@@ -35,9 +35,12 @@ class KMeansSpec extends AnyFunSuite {
   }
 
   test("ppSeeds handles identical points") {
-    val pts = IndexedSeq.fill(10)(Array(1.0, 2.0))
-    val seeds = KMeans.ppSeeds(pts, 3, 5)
-    assert(seeds.length == 3 && seeds.distinct.length == 3)
+    val same = IndexedSeq.fill(10)(Array(1.0, 2.0))
+    val pairs = IndexedSeq(Array(0.0), Array(0.0), Array(1.0), Array(1.0))
+    for ((pts, k) <- Seq((same, 3), (pairs, 4)); seed <- 0L until 100L) {
+      val seeds = KMeans.ppSeeds(pts, k, seed)
+      assert(seeds.length == k && seeds.distinct.length == k, s"k = $k, seed $seed: ${seeds.mkString(", ")}")
+    }
   }
 
   test("ppSeeds on single point") {
