@@ -22,10 +22,14 @@ change run reads better than every parent run, and `ok` otherwise. Every
 pair's full metric record goes to BENCH_<name>.json at the root of this
 checkout, beside the summary. A later call with the same name and parent adds
 its workloads to that file, replacing any of the same workload and seed.
+Before exporting, the script exits with a message if sbt's server socket
+path in either checkout could pass the 107-byte limit of a Unix socket path,
+at which every build fails.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -33,6 +37,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# sbt's server socket: <java.io.tmpdir, which dialbench/run.py sets to
+# <checkout>/.bench_build/tmp, or $XDG_RUNTIME_DIR when set>/.sbt/sbt-socket<id>/sbt-load.sock,
+# where <id> is a Java long (at most 20 characters). A Unix socket path holds
+# at most 107 bytes (108 with the terminating NUL).
+SOCKET_PATH_MAX = 107
+SOCKET_ID_MAX = 20
 
 
 def log(msg):
@@ -50,6 +61,17 @@ def export(rev, dest):
     if archive.wait() != 0:
         sys.exit(f"git archive {rev} failed")
     return sha
+
+
+def check_socket_path(checkout):
+    """Exit with a message when sbt's socket path in `checkout` could pass the Unix limit."""
+    base = os.environ.get("XDG_RUNTIME_DIR") or str(checkout / ".bench_build" / "tmp")
+    path = str(Path(base, ".sbt", "sbt-socket" + "N" * SOCKET_ID_MAX, "sbt-load.sock"))
+    if len(path.encode()) > SOCKET_PATH_MAX:
+        sys.exit(f"sbt's server socket path for {checkout} can reach {len(path.encode())} bytes "
+                 f"({path}, N = the digits of its id), over the {SOCKET_PATH_MAX}-byte limit of a "
+                 f"Unix socket path (108 bytes with the terminating NUL); every build there would "
+                 f"fail. Use a shorter --workdir or checkout path.")
 
 
 def bench(checkout, workload, seed, seconds):
@@ -152,6 +174,8 @@ def main():
                                 check=True, capture_output=True, text=True).stdout.strip())
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         parent_dir = Path(tmp) / "parent"
+        for checkout in (parent_dir, ROOT):
+            check_socket_path(checkout)
         parent_sha = export(args.parent, parent_dir)
         log(f"parent {parent_sha} in {parent_dir}; change is {ROOT} at {head}{' with local changes' if dirty else ''}")
         sides = {"parent": parent_dir, "change": ROOT}

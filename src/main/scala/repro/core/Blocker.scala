@@ -45,19 +45,26 @@ object Blocker {
   /** CAND: every S record (`sBase`, indexed by S id) probes every member's
     * index for its top `k`; each (r, s) pair keeps its smallest distance
     * over the members, and the pairs ordered by (distance, r id, s id) are
-    * cut to the first `candSize`.
+    * cut to the first `candSize`. An s has at most N·k hits, so its pairs
+    * are deduplicated by a scan over them.
     */
   def retrieveCand(sBase: Array[Array[Double]], views: IndexedSeq[EmbView],
                    indexes: IndexedSeq[NnIndex], k: Int, candSize: Int): IndexedSeq[CandPair] = {
     val hits = NnIndex.probe(sBase, views, indexes, k)
     val union = mutable.ArrayBuffer.empty[CandPair]
-    val closest = mutable.HashMap.empty[Int, Double]
+    val cap = indexes.map(ix => math.min(math.max(k, 0), ix.size)).sum
+    val rIds = new Array[Int](cap)
+    val dists = new Array[Double](cap)
     hits.indices.foreach { sId =>
-      closest.clear()
+      var n = 0
       hits(sId).foreach(_.foreach { case (rId, d) =>
-        if (closest.get(rId).forall(d < _)) closest(rId) = d
+        var i = 0
+        while (i < n && rIds(i) != rId) i += 1
+        if (i == n) { rIds(n) = rId; dists(n) = d; n += 1 }
+        else if (d < dists(i)) dists(i) = d
       })
-      closest.foreach { case (rId, d) => union += CandPair(rId, sId, d) }
+      var i = 0
+      while (i < n) { union += CandPair(rIds(i), sId, dists(i)); i += 1 }
     }
     union.sortInPlace()(byDistThenIds).take(candSize).toIndexedSeq
   }

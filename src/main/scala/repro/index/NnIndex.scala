@@ -1,6 +1,5 @@
 package repro.index
 
-import repro.ml.Vec
 import repro.util.Par
 
 /** A view over the shared base embedding E(x): identity (PairedFixed),
@@ -30,15 +29,18 @@ object NnIndex {
   /** Index-By-Committee probing (paper Algorithm 1, lines 10–24): every
     * query's base embedding is projected through each member's view and
     * searched in that member's index. Returns, per query and then per
-    * member, the top-`k` (id, distance) hits, ascending. Queries are probed
-    * concurrently; the result does not depend on the thread count.
+    * member, the top-`k` (id, distance) hits, ascending. Members are probed
+    * one after another, each by all queries concurrently, so every core
+    * works over one member's index at a time; the result does not depend on
+    * the thread count.
     */
   def probe(queries: Array[Array[Double]], views: IndexedSeq[EmbView],
             indexes: IndexedSeq[NnIndex], k: Int): IndexedSeq[IndexedSeq[Array[(Int, Double)]]] = {
     require(views.length == indexes.length, "view/index count mismatch")
-    Par.tabulate(queries.length) { q =>
-      views.indices.map(m => indexes(m).search(views(m)(queries(q)), k))
+    val byMember = views.indices.map { m =>
+      Par.tabulate(queries.length)(q => indexes(m).search(views(m)(queries(q)), k))
     }
+    IndexedSeq.tabulate(queries.length)(q => byMember.map(_(q)))
   }
 
   /** Bounded ascending top-k accumulator (insertion into a small array —
@@ -64,21 +66,42 @@ object NnIndex {
   }
 }
 
-/** Exhaustive exact k-NN (FAISS `IndexFlatL2` equivalent). */
+/** Exhaustive exact k-NN (FAISS `IndexFlatL2` equivalent).
+  *
+  * The vectors are stored column by column, one array of length n per
+  * dimension. A search keeps one accumulator per indexed vector and adds
+  * (q_i − x_i)² for every vector at once, dimension by dimension in
+  * ascending order: each distance is the same serial sum, in the same order,
+  * as `Vec.distSq(q, x)`, bit for bit. The inner loop reads and writes the
+  * same position of two arrays, a form the JIT vectorises.
+  */
 final class ExactIndex(idsIn: Array[Int], vecsIn: Array[Array[Double]]) extends NnIndex {
   require(idsIn.length == vecsIn.length, "ids/vectors length mismatch")
   private val ids = idsIn
-  private val vecs = vecsIn
+  private val n = ids.length
+  private val dim = if (n == 0) 0 else vecsIn(0).length
+  require(vecsIn.forall(_.length == dim), s"indexed vectors differ in length (expected $dim)")
+  private val cols = Array.tabulate(dim)(i => Array.tabulate(n)(j => vecsIn(j)(i)))
 
-  override def size: Int = ids.length
+  override def size: Int = n
 
+  /** Empty when `k` ≤ 0 or the index is empty; otherwise the query must
+    * have the indexed vectors' length.
+    */
   override def search(q: Array[Double], k: Int): Array[(Int, Double)] = {
-    val top = new NnIndex.TopK(math.min(k, size))
+    if (k <= 0 || n == 0) return Array.empty
+    require(q.length == dim, s"query has ${q.length} dimensions, index has $dim")
+    val acc = new Array[Double](n)
     var i = 0
-    while (i < vecs.length) {
-      top.offer(ids(i), Vec.distSq(q, vecs(i)))
+    while (i < dim) {
+      val qi = q(i); val col = cols(i)
+      var j = 0
+      while (j < n) { val t = qi - col(j); acc(j) += t * t; j += 1 }
       i += 1
     }
+    val top = new NnIndex.TopK(math.min(k, n))
+    var j = 0
+    while (j < n) { top.offer(ids(j), acc(j)); j += 1 }
     top.result()
   }
 }
