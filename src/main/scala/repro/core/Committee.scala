@@ -333,8 +333,7 @@ object Committee {
     * `negS(i)`). Loads the records in the order their gradients are summed,
     * encodes them, and leaves the mean dLoss/dU in `k.gU` (and, for
     * Classification, the mean dLoss/dhead in `gHead`). Returns the mean
-    * loss. The training loop and the three `*LossGrad` entry points all run
-    * through here.
+    * loss. The training loop and [[batchLossGrad]] both run through here.
     */
   private def lossGrad(k: MemberKernel, objective: Objective, margin: Double,
                        head: Array[Double], gHead: Array[Double],
@@ -519,12 +518,15 @@ object Committee {
   }
 
   /** One batch given as sequences, through [[lossGrad]] on a fresh kernel:
-    * (mean loss, dLoss/dU, dLoss/dhead).
+    * (mean loss, dLoss/dU, dLoss/dhead). `head` is read by Classification
+    * only and `margin` by Contrastive and Triplet; a Triplet positive p takes
+    * the negatives at p mod their count. Package-private so the test suite
+    * can finite-difference check the training step's gradients (Eqs. 6–8).
     */
-  private def batchLossGrad(m: Member, objective: Objective, margin: Double, head: Array[Double],
-                            pos: IndexedSeq[(Array[Double], Array[Double])],
-                            negR: IndexedSeq[Array[Double]],
-                            negS: IndexedSeq[Array[Double]]): (Double, Array[Double], Array[Double]) = {
+  private[core] def batchLossGrad(m: Member, objective: Objective, margin: Double, head: Array[Double],
+                                  pos: IndexedSeq[(Array[Double], Array[Double])],
+                                  negR: IndexedSeq[Array[Double]],
+                                  negS: IndexedSeq[Array[Double]]): (Double, Array[Double], Array[Double]) = {
     require(negR.length == negS.length, "negatives come in (r, s) pairs")
     // room for any objective: 2 records per positive, and 2 per negative or per positive
     val k = new MemberKernel(m, 2 * pos.length + 2 * math.max(pos.length, negR.length))
@@ -533,37 +535,6 @@ object Committee {
                         pos.length, pos(_)._1, pos(_)._2, negR.length, negR, negS)
     (loss, k.gU, gHead)
   }
-
-  /** Mean loss and dLoss/dU of one contrastive mini-batch (paper Eq. 8),
-    * computed by the training step itself. Package-private so the test suite
-    * can finite-difference check it.
-    */
-  private[core] def contrastiveLossGrad(m: Member,
-                              pos: IndexedSeq[(Array[Double], Array[Double])],
-                              negR: IndexedSeq[Array[Double]],
-                              negS: IndexedSeq[Array[Double]]): (Double, Array[Double]) = {
-    val (loss, gU, _) = batchLossGrad(m, Contrastive, Margin, Array.emptyDoubleArray, pos, negR, negS)
-    (loss, gU)
-  }
-
-  /** Mean loss and dLoss/dU of one triplet mini-batch (Table 5 ablation);
-    * positive p takes the negatives at p mod their count.
-    */
-  private[core] def tripletLossGrad(m: Member,
-                          pos: IndexedSeq[(Array[Double], Array[Double])],
-                          negR: IndexedSeq[Array[Double]],
-                          negS: IndexedSeq[Array[Double]],
-                          margin: Double): (Double, Array[Double]) = {
-    val (loss, gU, _) = batchLossGrad(m, Triplet, margin, Array.emptyDoubleArray, pos, negR, negS)
-    (loss, gU)
-  }
-
-  /** Mean loss and gradients (U, head) of one classification batch. */
-  private[core] def classificationLossGrad(m: Member, head: Array[Double],
-                                 pos: IndexedSeq[(Array[Double], Array[Double])],
-                                 negR: IndexedSeq[Array[Double]],
-                                 negS: IndexedSeq[Array[Double]]): (Double, Array[Double], Array[Double]) =
-    batchLossGrad(m, Classification, Margin, head, pos, negR, negS)
 }
 
 /** Views over the shared base embedding, used for indexing/retrieval. */

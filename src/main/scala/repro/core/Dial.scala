@@ -155,12 +155,12 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
   }
 
   /** Trains `n` members with mask fraction `maskP` on T, over the
-    * matcher-adapted embeddings; the init and training seeds are offset by
-    * `initSeed` and `trainSeed` plus the round.
+    * matcher-adapted embeddings, and returns their views; the init and
+    * training seeds are offset by `initSeed` and `trainSeed` plus the round.
     */
-  private def trainCommittee(t: IndexedSeq[LabeledPair], matcher: Matcher, round: Int,
+  private def committeeViews(t: IndexedSeq[LabeledPair], matcher: Matcher, round: Int,
                              n: Int, maskP: Double, initSeed: Int, trainSeed: Int,
-                             tc: Committee.TrainConfig): Committee = {
+                             tc: Committee.TrainConfig): IndexedSeq[EmbView] = {
     val com = Committee.init(n, d, maskP, Rnd.combine(cfg.seed, initSeed + round))
     val g = matcher.g
     val pos = t.filter(_.y).map(lp => (embedder.adaptedR(lp.rId, g), embedder.adaptedS(lp.sId, g)))
@@ -169,14 +169,29 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
     val sPool = ds.s.indices.map(i => embedder.adaptedS(i, g))
     Committee.train(com, tc, pos, rPool, sPool, negs,
       new Rnd.Gen(Rnd.combine(cfg.seed, trainSeed + round)))
-    com
+    com.members.map(m => new MemberView(g, m))
   }
 
-  /** DIAL's committee (IBC). */
-  private def ibcCommittee(t: IndexedSeq[LabeledPair], matcher: Matcher, round: Int): Committee =
-    trainCommittee(t, matcher, round, cfg.committeeN, cfg.maskP, initSeed = 300, trainSeed = 400,
-      Committee.TrainConfig(objective = cfg.objective, negMode = cfg.negMode,
-                            epochs = cfg.blockerEpochs))
+  /** The views CAND is retrieved under this round, by blocker mode (§4.3):
+    * the trained members of DIAL's committee (IBC) or of SentenceBERT's
+    * single head, the matcher-adapted embedding for PairedAdapt, and none
+    * for PairedFixed and Rules, whose CAND is [[fixedCand]].
+    */
+  private def blockerViews(t: IndexedSeq[LabeledPair], matcher: Matcher, round: Int): IndexedSeq[EmbView] =
+    cfg.blockerMode match {
+      case IbcMode =>
+        committeeViews(t, matcher, round, cfg.committeeN, cfg.maskP, initSeed = 300, trainSeed = 400,
+          Committee.TrainConfig(objective = cfg.objective, negMode = cfg.negMode,
+                                epochs = cfg.blockerEpochs))
+      case SentenceBertMode =>
+        // a single full-dimension head trained with the classification
+        // objective on the actively-labeled T
+        committeeViews(t, matcher, round, n = 1, maskP = 1.0, initSeed = 900, trainSeed = 950,
+          Committee.TrainConfig(objective = Classification, negMode = LabeledNegs,
+                                epochs = cfg.blockerEpochs))
+      case PairedAdaptMode => IndexedSeq(new ScaleView(matcher.g))
+      case PairedFixedMode | RulesMode => IndexedSeq.empty
+    }
 
   // ------------------------------------------------------------ retrieval
 
@@ -188,9 +203,6 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
     (cand, (System.nanoTime() - t0) / 1e9)
   }
 
-  private def ibcViews(matcher: Matcher, committee: Committee): IndexedSeq[EmbView] =
-    committee.members.map(m => new MemberView(matcher.g, m): EmbView)
-
   /** The fixed candidate set of PairedFixed / Rules, computed once. */
   private lazy val fixedCand: (IndexedSeq[CandPair], Double) =
     if (cfg.blockerMode == RulesMode) {
@@ -198,15 +210,6 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
       val pairs = Dial.rulesFor(spark, ds)
       (pairs.map { case (a, b) => CandPair(a, b, 0.0) }, (System.nanoTime() - t0) / 1e9)
     } else timedRetrieve(IndexedSeq(new PlainView))
-
-  private def retrieve(matcher: Matcher, committee: Option[Committee]): (IndexedSeq[CandPair], Double) =
-    cfg.blockerMode match {
-      case PairedFixedMode | RulesMode => fixedCand
-      case PairedAdaptMode => timedRetrieve(IndexedSeq(new ScaleView(matcher.g)))
-      case SentenceBertMode =>
-        timedRetrieve(IndexedSeq(new MemberView(matcher.g, committee.get.members.head)))
-      case IbcMode => timedRetrieve(ibcViews(matcher, committee.get))
-    }
 
   // -------------------------------------------------------------- scoring
 
@@ -273,19 +276,10 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
       val matcherSec = (System.nanoTime() - tm0) / 1e9
 
       val tc0 = System.nanoTime()
-      val committee = cfg.blockerMode match {
-        case IbcMode => Some(ibcCommittee(t, matcher, round))
-        case SentenceBertMode =>
-          // SentenceBERT baseline: a single full-dimension head trained with
-          // the classification objective on the actively-labeled T (§4.3)
-          Some(trainCommittee(t, matcher, round, n = 1, maskP = 1.0, initSeed = 900, trainSeed = 950,
-            Committee.TrainConfig(objective = Classification, negMode = LabeledNegs,
-                                  epochs = cfg.blockerEpochs)))
-        case _ => None
-      }
+      val views = blockerViews(t, matcher, round)
       val committeeSec = (System.nanoTime() - tc0) / 1e9
 
-      val (cand, retrieveSec) = retrieve(matcher, committee)
+      val (cand, retrieveSec) = if (views.isEmpty) fixedCand else timedRetrieve(views)
       val (scored, scoreSec) = scoreCand(matcher, cand)
 
       val predicted = scored.collect { case (c, _) if c.prob > 0.5 => (c.rId, c.sId) }.toSet
@@ -310,26 +304,13 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
         lastTimes = OpTimes(matcherSec, committeeSec, retrieveSec, scoreSec + selectSec)
       } else {
         finalTest = testPRF; finalAll = allPRF; finalRecall = recall
+        // the find-all pass: Table 2's runtime and, at rounds = 0, Table 10's
         findAllSec = retrieveSec + scoreSec
       }
       round += 1
     }
     RunResult(cfg.blockerMode.name, ds.name, stats.toIndexedSeq, finalRecall,
               finalTest, finalAll, lastTimes, findAllSec, t.length)
-  }
-
-  /** One timed "find all duplicates" pass of a `cfg.committeeN` committee,
-    * after a single training on the seed set (paper Table 10: testing time
-    * vs N).
-    */
-  def timedFindAll(): Double = {
-    profiles // built before the timed pass, as in run()
-    val t = seedSet()
-    val matcher = trainMatcher(t.map(trainEx), round = 1, cfg.matcherEpochs)
-    val committee = ibcCommittee(t, matcher, round = 1)
-    val (cand, retrieveSec) = timedRetrieve(ibcViews(matcher, committee))
-    val (_, scoreSec) = scoreCand(matcher, cand)
-    retrieveSec + scoreSec
   }
 }
 

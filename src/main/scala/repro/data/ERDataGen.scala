@@ -193,30 +193,11 @@ object ERDataGen {
                  else IndexedSeq("title", "brand", "price")
     val r = entities.zipWithIndex.map { case (e, i) => Rec(i, renderProductR(e, k.textual, g, filler)) }
 
-    // choose which entities have S-side duplicates (some get several)
-    val order = g.permutation(k.nR)
-    val sRecsRaw = scala.collection.mutable.ArrayBuffer.empty[(IndexedSeq[String], Int)] // (attrs, rIdx or -1)
-    var di = 0; var made = 0
-    while (made < k.nDups) {
-      val rIdx = order(di % k.nR)
-      val copies = math.min(1 + g.nextInt(k.dupsPerEntityMax), k.nDups - made)
-      var c = 0
-      while (c < copies) { sRecsRaw += ((renderProductDup(g, entities(rIdx), k, filler), rIdx)); c += 1 }
-      made += copies; di += 1
-    }
-    val nNonDup = k.nS - sRecsRaw.size
-    val nHard = (nNonDup * k.hardFrac).toInt
-    var i = 0
-    while (i < nHard) {
-      val e = variantOf(v, entities(g.nextInt(k.nR)), adjs, nouns)
-      sRecsRaw += ((renderProductR(e, k.textual, g, filler), -1))
-      i += 1
-    }
-    while (sRecsRaw.size < k.nS) {
-      val e = productEntity(v, brands, series, adjs, nouns)
-      sRecsRaw += ((renderProductR(e, k.textual, g, filler), -1))
-    }
-    finish(name, schema, r, sRecsRaw.toIndexedSeq, g, k.nTest)
+    val sRaw = assembleS(g, k.nR, k.nS, k.nDups, k.dupsPerEntityMax, k.hardFrac)(
+      rIdx => renderProductDup(g, entities(rIdx), k, filler),
+      rIdx => renderProductR(variantOf(v, entities(rIdx), adjs, nouns), k.textual, g, filler),
+      () => renderProductR(productEntity(v, brands, series, adjs, nouns), k.textual, g, filler))
+    finish(name, schema, r, sRaw, g, k.nTest)
   }
 
   // --------------------------------------------------------------- citations
@@ -300,29 +281,11 @@ object ERDataGen {
     val schema = IndexedSeq("title", "authors", "venue", "year")
     val r = entities.zipWithIndex.map { case (e, i) => Rec(i, renderCitationR(e, g, filler)) }
 
-    val order = g.permutation(k.nR)
-    val sRecsRaw = scala.collection.mutable.ArrayBuffer.empty[(IndexedSeq[String], Int)]
-    var di = 0; var made = 0
-    while (made < k.nDups) {
-      val rIdx = order(di % k.nR)
-      val copies = math.min(1 + g.nextInt(k.dupsPerEntityMax), k.nDups - made)
-      var c = 0
-      while (c < copies) { sRecsRaw += ((renderCitationDup(g, entities(rIdx), k, filler), rIdx)); c += 1 }
-      made += copies; di += 1
-    }
-    val nNonDup = k.nS - sRecsRaw.size
-    val nHard = (nNonDup * k.hardFrac).toInt
-    var i = 0
-    while (i < nHard) {
-      val e = citationVariant(v, entities(g.nextInt(k.nR)), titleWords)
-      sRecsRaw += ((renderCitationR(e, g, filler), -1))
-      i += 1
-    }
-    while (sRecsRaw.size < k.nS) {
-      val e = citationEntity(v, titleWords, first, last, venues)
-      sRecsRaw += ((renderCitationR(e, g, filler), -1))
-    }
-    finish(name, schema, r, sRecsRaw.toIndexedSeq, g, k.nTest)
+    val sRaw = assembleS(g, k.nR, k.nS, k.nDups, k.dupsPerEntityMax, k.hardFrac)(
+      rIdx => renderCitationDup(g, entities(rIdx), k, filler),
+      rIdx => renderCitationR(citationVariant(v, entities(rIdx), titleWords), g, filler),
+      () => renderCitationR(citationEntity(v, titleWords, first, last, venues), g, filler))
+    finish(name, schema, r, sRaw, g, k.nTest)
   }
 
   // ------------------------------------------------------------ multilingual
@@ -373,6 +336,33 @@ object ERDataGen {
   }
 
   // ------------------------------------------------------------ finalisation
+
+  /** The S side of a product or citation dataset before [[finish]] shuffles
+    * it, as (attrs, R index or -1). `nDups` duplicates go to the R entities
+    * in shuffled order, 1 to `dupsPerEntityMax` each (`dup`); then
+    * `hardFrac` of the remaining slots hold near-variants of random R
+    * entities (`variant`); fresh entities (`fresh`) fill S up to `nS`.
+    */
+  private def assembleS(g: Rnd.Gen, nR: Int, nS: Int, nDups: Int, dupsPerEntityMax: Int,
+                        hardFrac: Double)(
+      dup: Int => IndexedSeq[String], variant: Int => IndexedSeq[String],
+      fresh: () => IndexedSeq[String]): IndexedSeq[(IndexedSeq[String], Int)] = {
+    val order = g.permutation(nR)
+    val out = scala.collection.mutable.ArrayBuffer.empty[(IndexedSeq[String], Int)]
+    var di = 0; var made = 0
+    while (made < nDups) {
+      val rIdx = order(di % nR)
+      val copies = math.min(1 + g.nextInt(dupsPerEntityMax), nDups - made)
+      var c = 0
+      while (c < copies) { out += ((dup(rIdx), rIdx)); c += 1 }
+      made += copies; di += 1
+    }
+    val nHard = ((nS - out.size) * hardFrac).toInt
+    var i = 0
+    while (i < nHard) { out += ((variant(g.nextInt(nR)), -1)); i += 1 }
+    while (out.size < nS) out += ((fresh(), -1))
+    out.toIndexedSeq
+  }
 
   /** Shuffle the S side, assign ids, derive DUPS, and carve a DeepMatcher-style
     * test split: ~25% positives, negatives split between hard (token-sharing)

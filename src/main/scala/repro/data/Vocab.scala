@@ -44,8 +44,6 @@ final class Vocab(seed: Long) {
     sb.toString
   }
 
-  def int(lo: Int, hi: Int): Int = lo + g.nextInt(hi - lo + 1)
-
   def gen: Rnd.Gen = g
 }
 

@@ -100,151 +100,98 @@ object Experiments {
     rows.toSeq
   }
 
-  /** Table 4: labeled vs random negatives for the committee. */
-  def table4(spark: SparkSession): Seq[String] = {
-    val variants = IndexedSeq("Labeled" -> LabeledNegs, "Random" -> RandomNegs)
-    val rows = mutable.ArrayBuffer.empty[String]
-    IndexedSeq(("recall", (r: RunResult) => r.candRecall, "Recall of CAND"),
-               ("test",   (r: RunResult) => r.testPRF.f1, "Test Evaluation"),
-               ("all",    (r: RunResult) => r.allPRF.f1,  "All Pairs Evaluation")).foreach {
-      case (metricKey, metric, title) =>
-        rows += s"-- $title --"
-        rows += f"${"Negatives"}%-10s" + PaperNumbers.dsKeys.map(k => f"$k%7s").mkString +
-                "   | paper:" + PaperNumbers.dsKeys.map(k => f"$k%7s").mkString
-        variants.foreach { case (vname, mode) =>
-          val vals = benchmarks.map { ds =>
-            metric(dialRun(spark, ds, cfgFor(ds).copy(negMode = mode)))
-          }
-          val paper = PaperNumbers.table4((vname, metricKey))
-          rows += f"$vname%-10s" + vals.map(v => f"$v%7.1f").mkString +
-                  "   |      :" + PaperNumbers.dsKeys.map(k => f"${paper(k)}%7.1f").mkString
-        }
+  // --------------------------------------------------- shared grid layout
+
+  /** One table grid: a header of `label` and the dataset keys, once for ours
+    * and once for the paper's, then one line per row (name, our values in
+    * dataset order, the paper's values by dataset key). Cells are `width`
+    * wide; ours print with `digits` decimals, the paper's with one.
+    */
+  private[exp] def grid(label: String, labelWidth: Int,
+                        rows: Seq[(String, Seq[Double], Map[String, Double])],
+                        width: Int = 7, digits: Int = 1): Seq[String] = {
+    def name(x: String) = s"%-${labelWidth}s".format(x)
+    val keys = PaperNumbers.dsKeys.map(k => s"%${width}s".format(k)).mkString
+    (name(label) + keys + "   | paper:" + keys) +: rows.map { case (row, ours, paper) =>
+      name(row) + ours.map(v => s"%$width.${digits}f".format(v)).mkString + "   |      :" +
+        PaperNumbers.dsKeys.map(k => s"%$width.1f".format(paper(k))).mkString
     }
-    rows.toSeq
   }
 
-  /** Table 5: blocker training objective. */
-  def table5(spark: SparkSession): Seq[String] = {
-    val variants = IndexedSeq("Classification" -> Classification,
-                              "Triplet" -> Triplet, "Contrastive" -> Contrastive)
-    val rows = mutable.ArrayBuffer.empty[String]
-    IndexedSeq(("test", (r: RunResult) => r.testPRF.f1, "Test Evaluation"),
-               ("all",  (r: RunResult) => r.allPRF.f1,  "All Pairs Evaluation")).foreach {
-      case (metricKey, metric, title) =>
-        rows += s"-- $title --"
-        rows += f"${"Objective"}%-15s" + PaperNumbers.dsKeys.map(k => f"$k%7s").mkString +
-                "   | paper:" + PaperNumbers.dsKeys.map(k => f"$k%7s").mkString
-        variants.foreach { case (vname, obj) =>
-          val vals = benchmarks.map { ds =>
-            metric(dialRun(spark, ds, cfgFor(ds).copy(objective = obj)))
-          }
-          val paper = PaperNumbers.table5((vname, metricKey))
-          rows += f"$vname%-15s" + vals.map(v => f"$v%7.1f").mkString +
-                  "   |      :" + PaperNumbers.dsKeys.map(k => f"${paper(k)}%7.1f").mkString
-        }
+  /** A metric of a run: its key in the paper's tables, and its grid title. */
+  private[exp] final case class Metric(key: String, title: String, of: RunResult => Double)
+
+  private val CandRecall = Metric("recall", "Recall of CAND", _.candRecall)
+  private val TestF1 = Metric("test", "Test Evaluation", _.testPRF.f1)
+  private val AllF1 = Metric("all", "All Pairs Evaluation", _.allPRF.f1)
+
+  /** Tables 4–7: one titled [[grid]] per metric, one row per variant (its
+    * paper key, printed as the row name, and its config per dataset).
+    */
+  private[exp] def ablation[K](spark: SparkSession, label: String, labelWidth: Int,
+                               metrics: Seq[Metric], paper: Map[(K, String), Map[String, Double]])(
+                               variants: (K, ERDataset => DialConfig)*): Seq[String] =
+    metrics.flatMap { m =>
+      s"-- ${m.title} --" +: grid(label, labelWidth, variants.map { case (k, cfg) =>
+        (k.toString, benchmarks.map(ds => m.of(dialRun(spark, ds, cfg(ds)))), paper((k, m.key)))
+      })
     }
-    rows.toSeq
-  }
+
+  /** Table 4: labeled vs random negatives for the committee. */
+  def table4(spark: SparkSession): Seq[String] =
+    ablation(spark, "Negatives", 10, Seq(CandRecall, TestF1, AllF1), PaperNumbers.table4)(
+      ("Labeled", ds => cfgFor(ds).copy(negMode = LabeledNegs)),
+      ("Random", ds => cfgFor(ds).copy(negMode = RandomNegs)))
+
+  /** Table 5: blocker training objective. */
+  def table5(spark: SparkSession): Seq[String] =
+    ablation(spark, "Objective", 15, Seq(TestF1, AllF1), PaperNumbers.table5)(
+      ("Classification", ds => cfgFor(ds).copy(objective = Classification)),
+      ("Triplet", ds => cfgFor(ds).copy(objective = Triplet)),
+      ("Contrastive", ds => cfgFor(ds).copy(objective = Contrastive)))
 
   /** Table 6: candidate-set size (Small = 3·|DUPS|; Medium/Large per paper). */
   def table6(spark: SparkSession): Seq[String] = {
-    def cfgSize(ds: ERDataset, size: String): DialConfig = {
-      val base = cfgFor(ds)
-      size match {
-        case "Small"  => base.copy(candSizeOverride = Some(3 * ds.dups.size))
-        case "Medium" => if (ds.name == "Abt-Buy") base.copy(candMult = 10.0, candSizeOverride = None)
-                         else base.copy(candMult = 3.0, candSizeOverride = None)
-        case "Large"  => if (ds.name == "Abt-Buy") base.copy(candMult = 20.0, candSizeOverride = None)
-                         else base.copy(candMult = 5.0, candSizeOverride = None)
-      }
-    }
-    val rows = mutable.ArrayBuffer.empty[String]
-    IndexedSeq(("recall", (r: RunResult) => r.candRecall, "Recall"),
-               ("all",    (r: RunResult) => r.allPRF.f1,  "All Pairs Evaluation")).foreach {
-      case (metricKey, metric, title) =>
-        rows += s"-- $title --"
-        rows += f"${"CAND"}%-8s" + PaperNumbers.dsKeys.map(k => f"$k%7s").mkString +
-                "   | paper:" + PaperNumbers.dsKeys.map(k => f"$k%7s").mkString
-        IndexedSeq("Small", "Medium", "Large").foreach { size =>
-          val vals = benchmarks.map(ds => metric(dialRun(spark, ds, cfgSize(ds, size))))
-          val paper = PaperNumbers.table6((size, metricKey))
-          rows += f"$size%-8s" + vals.map(v => f"$v%7.1f").mkString +
-                  "   |      :" + PaperNumbers.dsKeys.map(k => f"${paper(k)}%7.1f").mkString
-        }
-    }
-    rows.toSeq
+    def mult(ds: ERDataset, abtBuy: Double, other: Double) =
+      cfgFor(ds).copy(candMult = if (ds.name == "Abt-Buy") abtBuy else other, candSizeOverride = None)
+    ablation(spark, "CAND", 8, Seq(CandRecall.copy(title = "Recall"), AllF1), PaperNumbers.table6)(
+      ("Small", ds => cfgFor(ds).copy(candSizeOverride = Some(3 * ds.dups.size))),
+      ("Medium", ds => mult(ds, abtBuy = 10.0, other = 3.0)),
+      ("Large", ds => mult(ds, abtBuy = 20.0, other = 5.0)))
   }
 
   /** Table 7: committee size N ∈ {1, 3, 5}. */
-  def table7(spark: SparkSession): Seq[String] = {
-    val rows = mutable.ArrayBuffer.empty[String]
-    IndexedSeq(("test", (r: RunResult) => r.testPRF.f1, "Test Evaluation"),
-               ("all",  (r: RunResult) => r.allPRF.f1,  "All Pairs Evaluation")).foreach {
-      case (metricKey, metric, title) =>
-        rows += s"-- $title --"
-        rows += f"${"N"}%-4s" + PaperNumbers.dsKeys.map(k => f"$k%7s").mkString +
-                "   | paper:" + PaperNumbers.dsKeys.map(k => f"$k%7s").mkString
-        IndexedSeq(1, 3, 5).foreach { n =>
-          val vals = benchmarks.map(ds => metric(dialRun(spark, ds, cfgFor(ds).copy(committeeN = n))))
-          val paper = PaperNumbers.table7((n, metricKey))
-          rows += f"$n%-4d" + vals.map(v => f"$v%7.1f").mkString +
-                  "   |      :" + PaperNumbers.dsKeys.map(k => f"${paper(k)}%7.1f").mkString
-        }
-    }
-    rows.toSeq
-  }
+  def table7(spark: SparkSession): Seq[String] =
+    ablation(spark, "N", 4, Seq(TestF1, AllF1), PaperNumbers.table7)(
+      Seq(1, 3, 5).map(n => (n, (ds: ERDataset) => cfgFor(ds).copy(committeeN = n))): _*)
 
   /** Table 8: example-selection strategies (all-pairs F1). */
-  def table8(spark: SparkSession): Seq[String] = {
-    val strategies = IndexedSeq[Strategy](RandomSel, GreedySel, Partition2, Partition4,
-                                          QbcSel, BadgeSel, UncertaintySel)
-    val rows = mutable.ArrayBuffer.empty[String]
-    rows += f"${"Method"}%-13s" + PaperNumbers.dsKeys.map(k => f"$k%7s").mkString +
-            "   | paper:" + PaperNumbers.dsKeys.map(k => f"$k%7s").mkString
-    strategies.foreach { st =>
-      val vals = benchmarks.map(ds => dialRun(spark, ds, cfgFor(ds).copy(selector = st)).allPRF.f1)
-      val paper = PaperNumbers.table8(st.name)
-      rows += f"${st.name}%-13s" + vals.map(v => f"$v%7.1f").mkString +
-              "   |      :" + PaperNumbers.dsKeys.map(k => f"${paper(k)}%7.1f").mkString
-    }
-    rows.toSeq
-  }
+  def table8(spark: SparkSession): Seq[String] =
+    grid("Method", 13, Seq(RandomSel, GreedySel, Partition2, Partition4, QbcSel, BadgeSel, UncertaintySel).map { st =>
+      (st.name, benchmarks.map(ds => dialRun(spark, ds, cfgFor(ds).copy(selector = st)).allPRF.f1),
+       PaperNumbers.table8(st.name))
+    })
 
   /** Table 9: time per operation in the final AL round of DIAL. */
   def table9(spark: SparkSession): Seq[String] = {
-    val runs = benchmarks.map(ds => ds -> dialRun(spark, ds, cfgFor(ds)))
-    val ops = IndexedSeq[(String, OpTimes => Double)](
+    val times = benchmarks.map(ds => dialRun(spark, ds, cfgFor(ds)).lastTimes)
+    grid("Operation", 22, Seq[(String, OpTimes => Double)](
       "Train Matcher" -> (_.matcherSec),
       "Train Committee" -> (_.committeeSec),
       "Indexing & Retrieval" -> (_.retrieveSec),
-      "Selection" -> (_.selectSec))
-    val rows = mutable.ArrayBuffer.empty[String]
-    rows += f"${"Operation"}%-22s" + PaperNumbers.dsKeys.map(k => f"$k%8s").mkString +
-            "   | paper:" + PaperNumbers.dsKeys.map(k => f"$k%8s").mkString
-    ops.foreach { case (name, get) =>
-      val vals = runs.map { case (_, r) => get(r.lastTimes) }
-      val paper = PaperNumbers.table9(name)
-      rows += f"$name%-22s" + vals.map(v => f"$v%8.2f").mkString +
-              "   |      :" + PaperNumbers.dsKeys.map(k => f"${paper(k)}%8.1f").mkString
-    }
-    rows.toSeq
+      "Selection" -> (_.selectSec)).map { case (op, get) => (op, times.map(get), PaperNumbers.table9(op)) },
+      width = 8, digits = 2)
   }
 
-  /** Table 10: testing time (find-all-duplicates pass) vs committee size. */
-  def table10(spark: SparkSession): Seq[String] = {
-    val rows = mutable.ArrayBuffer.empty[String]
-    rows += f"${"Method"}%-14s" + PaperNumbers.dsKeys.map(k => f"$k%8s").mkString +
-            "   | paper:" + PaperNumbers.dsKeys.map(k => f"$k%8s").mkString
-    IndexedSeq(1, 3, 10).foreach { n =>
-      val vals = benchmarks.map { ds =>
-        new Dial(spark, ds, cfgFor(ds).copy(committeeN = n)).timedFindAll()
-      }
-      val paper = PaperNumbers.table10(n)
-      rows += s"DIAL (N=$n)".padTo(14, ' ') + vals.map(v => f"$v%8.2f").mkString +
-              "   |      :" + PaperNumbers.dsKeys.map(k => f"${paper(k)}%8.1f").mkString
-    }
-    rows.toSeq
-  }
+  /** Table 10: testing time vs committee size, the find-all pass of a run
+    * with no labeling round (trained once on the seed set).
+    */
+  def table10(spark: SparkSession): Seq[String] =
+    grid("Method", 14, Seq(1, 3, 10).map { n =>
+      (s"DIAL (N=$n)",
+       benchmarks.map(ds => dialRun(spark, ds, cfgFor(ds).copy(committeeN = n, rounds = 0)).findAllSec),
+       PaperNumbers.table10(n))
+    }, width = 8, digits = 2)
 
   /** Every table runner, by paper table id. */
   val tables: IndexedSeq[(Int, SparkSession => Seq[String])] = IndexedSeq(

@@ -12,10 +12,11 @@ object KMeans {
     * This is exactly the BADGE selection rule — the seeds themselves are the
     * batch. Each draw is among the points at positive distance from every
     * seed so far; once none is left (repeated points), the lowest unchosen
-    * index is taken.
+    * index is taken. A k ≤ 0 chooses no seeds.
     */
   def ppSeeds(points: IndexedSeq[Array[Double]], k: Int, seed: Long): Array[Int] = {
     require(points.nonEmpty, "kmeans++ on empty point set")
+    if (k <= 0) return Array.emptyIntArray
     val g = new Rnd.Gen(seed)
     val n = points.length
     val kk = math.min(k, n)

@@ -90,8 +90,8 @@ class CommitteeSpec extends AnyFunSuite {
     val pos = IndexedSeq((vec(), vec()), (vec(), vec()))
     val negR = IndexedSeq(vec(), vec(), vec())
     val negS = IndexedSeq(vec(), vec(), vec())
-    val (_, gU) = Committee.contrastiveLossGrad(m, pos, negR, negS)
-    fdCheckU(m, () => Committee.contrastiveLossGrad(m, pos, negR, negS)._1, gU,
+    val (_, gU, _) = Committee.batchLossGrad(m, Contrastive, Committee.Margin, Array.emptyDoubleArray, pos, negR, negS)
+    fdCheckU(m, () => Committee.batchLossGrad(m, Contrastive, Committee.Margin, Array.emptyDoubleArray, pos, negR, negS)._1, gU,
              Seq(0, 1, d, d + 1, 2 * d + 3, m.u.length - 1))
   }
 
@@ -100,8 +100,8 @@ class CommitteeSpec extends AnyFunSuite {
     val pos = IndexedSeq((vec(), vec()), (vec(), vec()))
     val negR = IndexedSeq(vec(), vec())
     val negS = IndexedSeq(vec(), vec())
-    val (_, gU) = Committee.tripletLossGrad(m, pos, negR, negS, margin = 1.0)
-    fdCheckU(m, () => Committee.tripletLossGrad(m, pos, negR, negS, 1.0)._1, gU,
+    val (_, gU, _) = Committee.batchLossGrad(m, Triplet, 1.0, Array.emptyDoubleArray, pos, negR, negS)
+    fdCheckU(m, () => Committee.batchLossGrad(m, Triplet, 1.0, Array.emptyDoubleArray, pos, negR, negS)._1, gU,
              Seq(0, d - 1, d, 3 * d, m.u.length - 1))
   }
 
@@ -112,14 +112,14 @@ class CommitteeSpec extends AnyFunSuite {
     val pos = IndexedSeq((vec(), vec()))
     val negR = IndexedSeq(vec(), vec())
     val negS = IndexedSeq(vec(), vec())
-    val (_, gU, gHead) = Committee.classificationLossGrad(m, head, pos, negR, negS)
-    fdCheckU(m, () => Committee.classificationLossGrad(m, head, pos, negR, negS)._1, gU,
+    val (_, gU, gHead) = Committee.batchLossGrad(m, Classification, Committee.Margin, head, pos, negR, negS)
+    fdCheckU(m, () => Committee.batchLossGrad(m, Classification, Committee.Margin, head, pos, negR, negS)._1, gU,
              Seq(0, d, 2 * d + 1, m.u.length - 1))
     val h = 1e-5
     Seq(0, d, 3 * d).foreach { i =>
       val orig = head(i)
-      head(i) = orig + h; val lp = Committee.classificationLossGrad(m, head, pos, negR, negS)._1
-      head(i) = orig - h; val lm = Committee.classificationLossGrad(m, head, pos, negR, negS)._1
+      head(i) = orig + h; val lp = Committee.batchLossGrad(m, Classification, Committee.Margin, head, pos, negR, negS)._1
+      head(i) = orig - h; val lm = Committee.batchLossGrad(m, Classification, Committee.Margin, head, pos, negR, negS)._1
       head(i) = orig
       val num = (lp - lm) / (2 * h)
       assert(math.abs(gHead(i) - num) < 2e-4, s"head[$i]: ${gHead(i)} vs $num")

@@ -122,9 +122,11 @@ class DialIntegrationSpec extends SparkSpec {
     assert(seed.count(!_.y) == 8)
   }
 
-  test("timedFindAll returns a positive duration and scales to N=4") {
-    val sec = new Dial(spark, ds, fastCfg.copy(committeeN = 2)).timedFindAll()
-    assert(sec > 0.0)
+  test("a rounds = 0 run is one timed find-all pass over the seed set") {
+    val r = new Dial(spark, ds, fastCfg.copy(committeeN = 2, rounds = 0)).run()
+    assert(r.roundStats.length == 1)
+    assert(r.roundStats.head.nLabeled == 24 && r.nLabeled == 24)
+    assert(r.findAllSec > 0.0)
   }
 
   test("per-dataset memos tell apart datasets of equal name and sizes") {

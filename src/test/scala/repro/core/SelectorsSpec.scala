@@ -120,10 +120,10 @@ class SelectorsSpec extends AnyFunSuite {
 
   test("all strategies respect the budget") {
     val strategies = Seq(RandomSel, GreedySel, UncertaintySel, Partition2, Partition4, QbcSel, BadgeSel)
-    strategies.foreach { st =>
-      val sel = Selectors.select(st, cands, 3, ctx())
-      assert(sel.length <= 3, st.name)
-      assert(sel.distinct.length == sel.length, st.name)
+    for (b <- Seq(3, 0); st <- strategies) {
+      val sel = Selectors.select(st, cands, b, ctx())
+      assert(sel.length <= b, s"${st.name} b=$b")
+      assert(sel.distinct.length == sel.length, s"${st.name} b=$b")
     }
   }
 

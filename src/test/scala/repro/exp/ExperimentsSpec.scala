@@ -18,4 +18,19 @@ class ExperimentsSpec extends AnyFunSuite {
     assert(SparkSession.getDefaultSession == before)
     before.foreach(s => assert(!s.sparkContext.isStopped))
   }
+
+  test("grid prints the paper tables' header and rows") {
+    // lines of Tables 7 and 10 as the per-table runners printed them
+    val t7 = Experiments.grid("N", 4,
+      Seq(("1", Seq(66.7, 80.0, 100.0, 80.0, 88.9), PaperNumbers.table7((1, "test")))))
+    assert(t7 == Seq(
+      "N       W-A    A-G    D-A    D-S    A-B   | paper:    W-A    A-G    D-A    D-S    A-B",
+      "1      66.7   80.0  100.0   80.0   88.9   |      :   83.2   68.6   98.5   94.4   88.6"))
+    val t10 = Experiments.grid("Method", 14,
+      Seq(("DIAL (N=10)", Seq(0.0199, 0.0051, 0.0099, 0.031, 0.0149), PaperNumbers.table10(10))),
+      width = 8, digits = 2)
+    assert(t10 == Seq(
+      "Method             W-A     A-G     D-A     D-S     A-B   | paper:     W-A     A-G     D-A     D-S     A-B",
+      "DIAL (N=10)       0.02    0.01    0.01    0.03    0.01   |      :    90.8     8.2    15.8   263.1    42.0"))
+  }
 }

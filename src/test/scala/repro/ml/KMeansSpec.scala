@@ -21,6 +21,7 @@ class KMeansSpec extends AnyFunSuite {
   test("ppSeeds caps k at n") {
     val pts = cluster(Array(0.0), 3, 1)
     assert(KMeans.ppSeeds(pts, 10, 2).length == 3)
+    assert(KMeans.ppSeeds(pts, 0, 2).isEmpty)
   }
 
   test("ppSeeds spreads across well-separated clusters") {
