@@ -26,7 +26,6 @@ final case class DialConfig(
     maskP: Double = 0.75,
     k: Int = 3,
     candMult: Double = 3.0,
-    candSizeOverride: Option[Int] = None,
     rounds: Int = 4,
     budget: Int = 128,
     seedPos: Int = 64,
@@ -45,10 +44,6 @@ final case class DialConfig(
 final case class OpTimes(matcherSec: Double, committeeSec: Double,
                          retrieveSec: Double, selectSec: Double)
 
-/** Quantities tracked per round (the progressive curves of Figures 4–7). */
-final case class RoundStat(round: Int, nLabeled: Int, candRecall: Double,
-                           testF1: Double, allF1: Double)
-
 /** Outcome of one full AL run. */
 final case class RunResult(
     method: String, dsName: String,
@@ -64,14 +59,17 @@ final case class RunResult(
   * mode, sharing the matcher, selector and evaluation machinery so that the
   * comparisons isolate exactly the blocking strategy, as in the paper.
   *
-  * Labels come from the gold oracle. After `cfg.rounds` labeling rounds a
+  * Each round trains, blocks and scores CAND inside [[ActiveLearning.run]],
+  * which labels from the gold oracle; after `cfg.rounds` labeling rounds a
   * final train + block + match pass produces the end-of-AL evaluation.
   */
 final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
+  require(ds.r.nonEmpty, s"dataset ${ds.name}: the R list is empty")
+  require(ds.s.nonEmpty, s"dataset ${ds.name}: the S list is empty")
 
   val embedder: Embedder = Dial.embedderFor(ds, cfg.embedDim)
   val emb: HashEmbedding = embedder.emb
-  val candSize: Int = cfg.candSizeOverride.getOrElse((cfg.candMult * ds.s.size).toInt)
+  val candSize: Int = math.round(cfg.candMult * ds.s.size).toInt
   private val d = cfg.embedDim
   private val rng = new Rnd.Gen(Rnd.combine(cfg.seed, Rnd.hash64(ds.name)))
 
@@ -165,8 +163,10 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
     val g = matcher.g
     val pos = t.filter(_.y).map(lp => (embedder.adaptedR(lp.rId, g), embedder.adaptedS(lp.sId, g)))
     val negs = t.filterNot(_.y).map(lp => (embedder.adaptedR(lp.rId, g), embedder.adaptedS(lp.sId, g)))
-    val rPool = ds.r.indices.map(i => embedder.adaptedR(i, g))
-    val sPool = ds.s.indices.map(i => embedder.adaptedS(i, g))
+    // only random negatives are drawn from the full lists
+    val (rPool, sPool) =
+      if (tc.negMode != RandomNegs) (IndexedSeq.empty, IndexedSeq.empty)
+      else (ds.r.indices.map(embedder.adaptedR(_, g)), ds.s.indices.map(embedder.adaptedS(_, g)))
     Committee.train(com, tc, pos, rPool, sPool, negs,
       new Rnd.Gen(Rnd.combine(cfg.seed, trainSeed + round)))
     com.members.map(m => new MemberView(g, m))
@@ -256,18 +256,9 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
 
   def run(): RunResult = {
     profiles // per-record precomputation, outside the Table 9 timers like the base embeddings
-    var t = seedSet()
-    val labeledSet = mutable.LinkedHashSet.empty[(Int, Int)]
-    t.foreach(lp => labeledSet += ((lp.rId, lp.sId)))
-    val stats = mutable.ArrayBuffer.empty[RoundStat]
     var lastTimes = OpTimes(0, 0, 0, 0)
     var findAllSec = 0.0
-    var finalTest = PRF(0, 0, 0); var finalAll = PRF(0, 0, 0); var finalRecall = 0.0
-
-    var round = 1
-    val totalRounds = cfg.rounds + 1 // labeling rounds + final evaluation pass
-    while (round <= totalRounds) {
-      val isFinal = round == totalRounds
+    val out = ActiveLearning.run(ds, seedSet(), cfg.rounds, cfg.budget) { (t, round) =>
       Console.err.println(s"[dial] ${ds.name} ${cfg.blockerMode.name} round=$round " +
         s"|T|=${t.length} |T_p|=${t.count(_.y)}")
       val tm0 = System.nanoTime()
@@ -281,36 +272,22 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
 
       val (cand, retrieveSec) = if (views.isEmpty) fixedCand else timedRetrieve(views)
       val (scored, scoreSec) = scoreCand(matcher, cand)
-
-      val predicted = scored.collect { case (c, _) if c.prob > 0.5 => (c.rId, c.sId) }.toSet
-      val recall = Metrics.candRecall(cand.map(c => (c.rId, c.sId)), ds.dups)
-      val testPRF = Metrics.testEval(ds.testPairs, predicted)
-      val allPRF = Metrics.allPairs(predicted, ds.dups)
-      stats += RoundStat(round, t.length, recall, testPRF.f1, allPRF.f1)
-
-      if (!isFinal) {
+      // the last round is the find-all pass: Table 2's runtime and, at
+      // rounds = 0, Table 10's
+      findAllSec = retrieveSec + scoreSec
+      ActiveLearning.Round(cand.map(c => (c.rId, c.sId)), scored.map(_._1.prob), (idx, budget) => {
         val ts0 = System.nanoTime()
-        val selectable = scored.filterNot { case (c, _) =>
-          labeledSet.contains((c.rId, c.sId)) || ds.testSet.contains((c.rId, c.sId))
-        }
-        val sel = Selectors.select(cfg.selector, selectable.map(_._1), cfg.budget,
+        val selectable = idx.map(scored)
+        val sel = Selectors.select(cfg.selector, selectable.map(_._1), budget,
                                    selectorCtx(tEx, selectable, matcher, round))
-        val selectSec = (System.nanoTime() - ts0) / 1e9
-        val newly = sel.map { case (a, b) => LabeledPair(a, b, ds.dups.contains((a, b))) }
-        t = t ++ newly
-        newly.foreach(lp => labeledSet += ((lp.rId, lp.sId)))
         // Table 9 semantics: "Selection" includes the matcher inference over
         // CAND that feeds the uncertainty scores; retrieval is pure IBC.
-        lastTimes = OpTimes(matcherSec, committeeSec, retrieveSec, scoreSec + selectSec)
-      } else {
-        finalTest = testPRF; finalAll = allPRF; finalRecall = recall
-        // the find-all pass: Table 2's runtime and, at rounds = 0, Table 10's
-        findAllSec = retrieveSec + scoreSec
-      }
-      round += 1
+        lastTimes = OpTimes(matcherSec, committeeSec, retrieveSec, scoreSec + (System.nanoTime() - ts0) / 1e9)
+        sel
+      })
     }
-    RunResult(cfg.blockerMode.name, ds.name, stats.toIndexedSeq, finalRecall,
-              finalTest, finalAll, lastTimes, findAllSec, t.length)
+    RunResult(cfg.blockerMode.name, ds.name, out.stats, out.candRecall,
+              out.testPRF, out.allPRF, lastTimes, findAllSec, out.nLabeled)
   }
 }
 

@@ -97,9 +97,7 @@ final class Matcher(val d: Int, seed: Long) extends Serializable {
         while (i < end) { lastEpochLoss += backprop(smoothed(order(i)), gHead, gG); i += 1 }
         val inv = 1.0 / (end - off)
         Vec.scaleI(gHead, inv); Vec.scaleI(gG, inv)
-        val flat = mlp.toFlat
-        adamHead.step(flat, gHead)
-        mlp.fromFlat(flat)
+        adamHead.step(mlp.params, gHead)
         if (trainG) adamG.step(g, gG)
         off = end
       }
@@ -112,7 +110,7 @@ final class Matcher(val d: Int, seed: Long) extends Serializable {
   def gradEmbedding(er: Array[Double], es: Array[Double], scalars: Array[Double]): Array[Double] = {
     val x = features(er, es, scalars)
     val h = mlp.hidden(x)
-    val p = Mlp.sigmoid(Vec.dot(mlp.w2, h) + mlp.b2)
+    val p = Mlp.sigmoid(mlp.outLogit(h))
     val yHat = if (p > 0.5) 1.0 else 0.0
     val out = new Array[Double](h.length + 1)
     var i = 0

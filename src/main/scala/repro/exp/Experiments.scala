@@ -153,9 +153,9 @@ object Experiments {
   /** Table 6: candidate-set size (Small = 3·|DUPS|; Medium/Large per paper). */
   def table6(spark: SparkSession): Seq[String] = {
     def mult(ds: ERDataset, abtBuy: Double, other: Double) =
-      cfgFor(ds).copy(candMult = if (ds.name == "Abt-Buy") abtBuy else other, candSizeOverride = None)
+      cfgFor(ds).copy(candMult = if (ds.name == "Abt-Buy") abtBuy else other)
     ablation(spark, "CAND", 8, Seq(CandRecall.copy(title = "Recall"), AllF1), PaperNumbers.table6)(
-      ("Small", ds => cfgFor(ds).copy(candSizeOverride = Some(3 * ds.dups.size))),
+      ("Small", ds => cfgFor(ds).copy(candMult = 3.0 * ds.dups.size / ds.s.size)),
       ("Medium", ds => mult(ds, abtBuy = 10.0, other = 3.0)),
       ("Large", ds => mult(ds, abtBuy = 20.0, other = 5.0)))
   }

@@ -1,7 +1,7 @@
 package repro.forest
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{Dial, DialConfig, LabeledPair, Metrics, PRF, RunResult, RoundStat, OpTimes}
+import repro.core.{ActiveLearning, Dial, DialConfig, LabeledPair, OpTimes, RunResult}
 import repro.data.ERDataset
 import repro.util.{Par, Rnd}
 import scala.collection.mutable
@@ -20,11 +20,8 @@ object RfAl {
 
   def run(spark: SparkSession, ds: ERDataset,
           rounds: Int = 4, budget: Int = 128): RunResult = {
+    val seedSet = new Dial(spark, ds, DialConfig(seed = Seed)).seedSet() // DIAL's seed-set sampler
     val cand = Dial.rulesFor(spark, ds)
-    val dial = new Dial(spark, ds, DialConfig(seed = Seed)) // shared seed-set sampler
-    var t = dial.seedSet()
-    val labeled = mutable.LinkedHashSet.empty[(Int, Int)]
-    t.foreach(lp => labeled += ((lp.rId, lp.sId)))
 
     val featCache = mutable.HashMap.empty[(Int, Int), Array[Double]]
     def feat(rId: Int, sId: Int): Array[Double] =
@@ -50,37 +47,17 @@ object RfAl {
     def score(forest: RandomForest): IndexedSeq[Double] =
       Par.tabulate(cand.size)(i => forest.voteFraction(candFeats(i)))
 
-    val stats = mutable.ArrayBuffer.empty[RoundStat]
-    var finalAll = PRF(0, 0, 0); var finalTest = PRF(0, 0, 0)
     var findAllSec = 0.0
-    var round = 1
-    while (round <= rounds + 1) {
-      val isFinal = round == rounds + 1
+    val out = ActiveLearning.run(ds, seedSet, rounds, budget) { (t, round) =>
       val forest = train(t, Rnd.combine(Seed, round))
       val t0 = System.nanoTime()
       val probs = score(forest)
-      val sec = (System.nanoTime() - t0) / 1e9
-      val predicted = cand.indices.filter(i => probs(i) > 0.5).map(cand).toSet
-      val allPRF = Metrics.allPairs(predicted, ds.dups)
-      val testPRF = Metrics.testEval(ds.testPairs, predicted)
-      stats += RoundStat(round, t.length,
-        Metrics.candRecall(cand, ds.dups), testPRF.f1, allPRF.f1)
-      if (isFinal) {
-        finalAll = allPRF; finalTest = testPRF; findAllSec = featSec + sec
-      } else {
-        val selectable = cand.indices.filterNot(i => labeled.contains(cand(i)) || ds.testSet.contains(cand(i)))
-        val byVariance = selectable.sortBy { i =>
-          val pr = probs(i); -(pr * (1.0 - pr))
-        }
-        val sel = byVariance.take(budget).map(cand)
-        val newly = sel.map { case (a, b) => LabeledPair(a, b, ds.dups.contains((a, b))) }
-        t = t ++ newly
-        newly.foreach(lp => labeled += ((lp.rId, lp.sId)))
-      }
-      round += 1
+      // the last round is the find-all pass
+      findAllSec = featSec + (System.nanoTime() - t0) / 1e9
+      ActiveLearning.Round(cand, probs, (selectable, b) =>
+        selectable.sortBy { i => val pr = probs(i); -(pr * (1.0 - pr)) }.take(b).map(cand))
     }
-    RunResult("Random Forest", ds.name, stats.toIndexedSeq,
-              Metrics.candRecall(cand, ds.dups), finalTest, finalAll,
-              OpTimes(0, 0, 0, 0), findAllSec, t.length)
+    RunResult("Random Forest", ds.name, out.stats, out.candRecall, out.testPRF, out.allPRF,
+              OpTimes(0, 0, 0, 0), findAllSec, out.nLabeled)
   }
 }

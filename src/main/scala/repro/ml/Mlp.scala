@@ -4,42 +4,26 @@ import repro.util.Rnd
 
 /** The paper's matcher head `F_W`: linear → tanh → linear → (sigmoid outside).
   *
-  * Implements forward, manual backprop (checked against finite differences in
-  * the test suite), and copies to/from a flat parameter vector, the layout
-  * the optimiser steps over. The program scores on the driver; instances
+  * Implements forward and manual backprop (checked against finite
+  * differences in the test suite) over one flat parameter array, the array
+  * the optimiser steps in place. The program scores on the driver; instances
   * stay serializable for the benchmark replay's Spark scoring scan
   * (`SparkKnn.scorePairs`).
   */
 final class Mlp(val nIn: Int, val nHidden: Int, seed: Long) extends Serializable {
-  // Parameters: W1 (nHidden x nIn), b1 (nHidden), w2 (nHidden), b2 (1)
-  val w1: Array[Double] = {
-    val g = new Rnd.Gen(Rnd.combine(seed, 1))
-    Array.fill(nHidden * nIn)(g.nextGaussian() / math.sqrt(nIn.toDouble))
-  }
-  val b1: Array[Double] = new Array[Double](nHidden)
-  val w2: Array[Double] = {
-    val g = new Rnd.Gen(Rnd.combine(seed, 2))
-    Array.fill(nHidden)(g.nextGaussian() / math.sqrt(nHidden.toDouble))
-  }
-  var b2: Double = 0.0
-
   def nParams: Int = nHidden * nIn + nHidden + nHidden + 1
 
-  def toFlat: Array[Double] = {
-    val out = new Array[Double](nParams)
-    System.arraycopy(w1, 0, out, 0, w1.length)
-    System.arraycopy(b1, 0, out, w1.length, b1.length)
-    System.arraycopy(w2, 0, out, w1.length + b1.length, w2.length)
-    out(nParams - 1) = b2
-    out
-  }
+  /** W1 (nHidden x nIn, row-major), then b1 (nHidden), w2 (nHidden) and b2. */
+  val params: Array[Double] = new Array[Double](nParams)
+  private val b1Off = nHidden * nIn
+  private val w2Off = b1Off + nHidden
+  private val b2Off = nParams - 1
 
-  def fromFlat(p: Array[Double]): Unit = {
-    require(p.length == nParams, s"fromFlat: expected $nParams, got ${p.length}")
-    System.arraycopy(p, 0, w1, 0, w1.length)
-    System.arraycopy(p, w1.length, b1, 0, b1.length)
-    System.arraycopy(p, w1.length + b1.length, w2, 0, w2.length)
-    b2 = p(nParams - 1)
+  {
+    val g1 = new Rnd.Gen(Rnd.combine(seed, 1))
+    for (i <- 0 until b1Off) params(i) = g1.nextGaussian() / math.sqrt(nIn.toDouble)
+    val g2 = new Rnd.Gen(Rnd.combine(seed, 2))
+    for (j <- 0 until nHidden) params(w2Off + j) = g2.nextGaussian() / math.sqrt(nHidden.toDouble)
   }
 
   /** Hidden activations h = tanh(W1 x + b1). Exposed for BADGE's gradient
@@ -50,10 +34,10 @@ final class Mlp(val nIn: Int, val nHidden: Int, seed: Long) extends Serializable
     val h = new Array[Double](nHidden)
     var j = 0
     while (j < nHidden) {
-      var s = b1(j)
+      var s = params(b1Off + j)
       val off = j * nIn
       var i = 0
-      while (i < nIn) { s += w1(off + i) * x(i); i += 1 }
+      while (i < nIn) { s += params(off + i) * x(i); i += 1 }
       h(j) = math.tanh(s)
       j += 1
     }
@@ -61,9 +45,13 @@ final class Mlp(val nIn: Int, val nHidden: Int, seed: Long) extends Serializable
   }
 
   /** Raw score F_W(x) (pre-sigmoid logit). */
-  def score(x: Array[Double]): Double = {
-    val h = hidden(x)
-    Vec.dot(w2, h) + b2
+  def score(x: Array[Double]): Double = outLogit(hidden(x))
+
+  /** The output layer's logit w2 · h + b2 over hidden activations `h`. */
+  def outLogit(h: Array[Double]): Double = {
+    var s = 0.0; var j = 0
+    while (j < nHidden) { s += params(w2Off + j) * h(j); j += 1 }
+    s + params(b2Off)
   }
 
   /** Pr(y = 1 | x) per paper Eq. 5. */
@@ -71,33 +59,32 @@ final class Mlp(val nIn: Int, val nHidden: Int, seed: Long) extends Serializable
 
   /** Backprop for binary cross-entropy at a single example.
     *
-    * Accumulates parameter gradients into `gFlat` (layout of `toFlat`) and
+    * Accumulates parameter gradients into `gFlat` (layout of `params`) and
     * returns the gradient w.r.t. the input x (needed to fine-tune the
     * simulated-TPLM scale g upstream). `y` is the 0/1 label.
     */
   def backprop(x: Array[Double], y: Double, gFlat: Array[Double]): Array[Double] = {
     val h = hidden(x)
-    val p = Mlp.sigmoid(Vec.dot(w2, h) + b2)
+    val p = Mlp.sigmoid(outLogit(h))
     val dScore = p - y // d CE / d logit
     val gxOut = new Array[Double](nIn)
-    val w2Off = w1.length + b1.length
     // output layer
     var j = 0
     while (j < nHidden) {
       gFlat(w2Off + j) += dScore * h(j)
       j += 1
     }
-    gFlat(nParams - 1) += dScore
+    gFlat(b2Off) += dScore
     // hidden layer
     j = 0
     while (j < nHidden) {
-      val dH = dScore * w2(j) * (1.0 - h(j) * h(j))
-      gFlat(w1.length + j) += dH
+      val dH = dScore * params(w2Off + j) * (1.0 - h(j) * h(j))
+      gFlat(b1Off + j) += dH
       val off = j * nIn
       var i = 0
       while (i < nIn) {
         gFlat(off + i) += dH * x(i)
-        gxOut(i) += dH * w1(off + i)
+        gxOut(i) += dH * params(off + i)
         i += 1
       }
       j += 1

@@ -3,7 +3,8 @@ package repro.core
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.types.{IntegerType, StructField, StructType}
 import repro.SparkSpec
-import repro.data.ERDataGen
+import repro.data.{ERDataGen, ERDataset}
+import repro.forest.RfAl
 import repro.index.SparkKnn
 import repro.rules.RulesBlocker
 import repro.text.HashEmbedding
@@ -109,9 +110,25 @@ class DialIntegrationSpec extends SparkSpec {
     }
   }
 
-  test("candSizeOverride caps the candidate set") {
-    val r = new Dial(spark, ds, fastCfg.copy(candSizeOverride = Some(40)))
+  test("candMult sets the candidate-set size") {
+    val r = new Dial(spark, ds, fastCfg.copy(candMult = 40.0 / ds.s.size))
     assert(r.candSize == 40)
+  }
+
+  private def failsNaming(list: String, noRecords: ERDataset): Unit = {
+    val want = s"dataset ${noRecords.name}: the $list list is empty"
+    Seq[() => Any](() => new Dial(spark, noRecords, fastCfg).seedSet(),
+                   () => RfAl.run(spark, noRecords, rounds = 0)).foreach { run =>
+      assert(intercept[IllegalArgumentException](run()).getMessage.contains(want))
+    }
+  }
+
+  test("an empty S list fails early, naming the list and the dataset") {
+    failsNaming("S", ds.copy(s = IndexedSeq.empty, dups = Set.empty, testPairs = IndexedSeq.empty))
+  }
+
+  test("an empty R list fails early, naming the list and the dataset") {
+    failsNaming("R", ds.copy(r = IndexedSeq.empty, dups = Set.empty, testPairs = IndexedSeq.empty))
   }
 
   test("multilingual seed construction via pretrained NN probing works") {

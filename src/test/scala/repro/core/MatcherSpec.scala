@@ -57,17 +57,18 @@ class MatcherSpec extends AnyFunSuite {
     m.backprop(ex, gHead, gG)
     val x = m.features(ex.er, ex.es, ex.scalars)
     val numeric = {
-      val flat = m.mlp.toFlat
-      val out = new Array[Double](flat.length)
+      val params = m.mlp.params
+      val out = new Array[Double](params.length)
       val h = 1e-6
-      flat.indices.foreach { i =>
-        val p = flat.clone(); p(i) += h; m.mlp.fromFlat(p)
+      params.indices.foreach { i =>
+        val w = params(i)
+        params(i) = w + h
         val lp = Mlp.bceFromLogit(m.mlp.score(x), 0.0)
-        val q = flat.clone(); q(i) -= h; m.mlp.fromFlat(q)
+        params(i) = w - h
         val lm = Mlp.bceFromLogit(m.mlp.score(x), 0.0)
+        params(i) = w
         out(i) = (lp - lm) / (2 * h)
       }
-      m.mlp.fromFlat(flat)
       out
     }
     numeric.indices.foreach(i => assert(math.abs(gHead(i) - numeric(i)) < 1e-4, s"head $i"))
@@ -115,7 +116,7 @@ class MatcherSpec extends AnyFunSuite {
       m
     }
     val a = trained(); val b = trained()
-    assert(a.mlp.toFlat.toSeq == b.mlp.toFlat.toSeq)
+    assert(a.mlp.params.toSeq == b.mlp.params.toSeq)
     assert(a.g.toSeq == b.g.toSeq)
   }
 

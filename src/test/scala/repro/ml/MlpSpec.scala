@@ -6,17 +6,18 @@ import repro.util.Rnd
 class MlpSpec extends AnyFunSuite {
 
   private def numericGrad(mlp: Mlp, x: Array[Double], y: Double): Array[Double] = {
-    val flat = mlp.toFlat
-    val g = new Array[Double](flat.length)
+    val params = mlp.params
+    val g = new Array[Double](params.length)
     val h = 1e-6
-    flat.indices.foreach { i =>
-      val p = flat.clone(); p(i) += h; mlp.fromFlat(p)
+    params.indices.foreach { i =>
+      val w = params(i)
+      params(i) = w + h
       val lp = Mlp.bceFromLogit(mlp.score(x), y)
-      val m = flat.clone(); m(i) -= h; mlp.fromFlat(m)
+      params(i) = w - h
       val lm = Mlp.bceFromLogit(mlp.score(x), y)
+      params(i) = w
       g(i) = (lp - lm) / (2 * h)
     }
-    mlp.fromFlat(flat)
     g
   }
 
@@ -33,19 +34,6 @@ class MlpSpec extends AnyFunSuite {
     assert(math.abs(Mlp.bceFromLogit(z, 0.0) - (-math.log(1 - Mlp.sigmoid(z)))) < 1e-12)
     assert(!Mlp.bceFromLogit(500.0, 0.0).isInfinite)
     assert(!Mlp.bceFromLogit(-500.0, 1.0).isInfinite)
-  }
-
-  test("toFlat/fromFlat round-trips") {
-    val mlp = new Mlp(5, 4, seed = 1)
-    val flat = mlp.toFlat
-    val mlp2 = new Mlp(5, 4, seed = 2)
-    mlp2.fromFlat(flat)
-    val x = Array.fill(5)(0.3)
-    assert(mlp.score(x) == mlp2.score(x))
-  }
-
-  test("fromFlat rejects wrong length") {
-    intercept[IllegalArgumentException](new Mlp(3, 2, 1).fromFlat(Array(1.0)))
   }
 
   test("prob is sigmoid of score") {
@@ -112,9 +100,7 @@ class MlpSpec extends AnyFunSuite {
       val grad = new Array[Double](mlp.nParams)
       data.foreach { case (x, y) => mlp.backprop(x, y, grad) }
       Vec.scaleI(grad, 1.0 / data.size)
-      val flat = mlp.toFlat
-      adam.step(flat, grad)
-      mlp.fromFlat(flat)
+      adam.step(mlp.params, grad)
     }
     val acc = data.count { case (x, y) => (mlp.prob(x) > 0.5) == (y > 0.5) }.toDouble / data.size
     assert(acc > 0.95, s"accuracy=$acc")
@@ -123,6 +109,6 @@ class MlpSpec extends AnyFunSuite {
   test("seeds give different initialisations") {
     val a = new Mlp(3, 2, seed = 1)
     val b = new Mlp(3, 2, seed = 2)
-    assert(a.toFlat.toSeq != b.toFlat.toSeq)
+    assert(a.params.toSeq != b.params.toSeq)
   }
 }
