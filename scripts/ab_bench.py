@@ -10,8 +10,10 @@ The parent revision is exported with `git archive` into a temporary
 directory; the change side is this checkout as it stands. For each workload,
 pair i runs `python3 dialbench/run.py` once on each side, the parent first on
 even pairs and the change first on odd ones. The script prints each pair's
-`run_s` and `cand_recall`, each side's median and quartiles of `run_s`, and
-the claim rule: at least ten pairs, the change wins at least nine tenths of
+`run_s`, `cand_recall` and final-pass quality (all-pairs F1 and test F1, read
+from the info line before each run's result), each side's median and
+quartiles of `run_s`, whether `cand_recall` and the quality were equal on
+every pair, and the claim rule: at least ten pairs, the change wins at least nine tenths of
 them (ties count for neither) and the medians differ by more than the
 parent's interquartile range. It also applies the no-regression rule to every
 end-to-end metric that BENCHMARK.json declares (the file is only read): each
@@ -87,7 +89,21 @@ def bench(checkout, workload, seed, seconds):
     result = json.loads(lines[-1])
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
     metrics["correct"] = result["correct"]
+    metrics["quality"] = quality(lines[:-1])
     return metrics
+
+
+def quality(lines):
+    """The run's final-pass quality block (CAND recall, all-pairs F1, test F1)
+    from the info line that precedes the result line; None when absent."""
+    for line in reversed(lines):
+        try:
+            info = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(info, dict) and "quality" in info:
+            return info["quality"]
+    return None
 
 
 def quartiles(xs):
@@ -127,8 +143,11 @@ def compare(workload, seed, pairs, seconds, sides, metrics):
             row[side] = bench(sides[side], workload, seed, seconds)
         rows.append(row)
         p, c = row["parent"] or {}, row["change"] or {}
+        pq, cq = p.get("quality") or {}, c.get("quality") or {}
         print(f"{workload} pair {i + 1:2d} ({order[0]} first): run_s {p.get('run_s')} -> {c.get('run_s')}  "
-              f"cand_recall {p.get('cand_recall')} -> {c.get('cand_recall')}", flush=True)
+              f"cand_recall {p.get('cand_recall')} -> {c.get('cand_recall')}  "
+              f"all_pairs_f1 {pq.get('all_pairs_f1')} -> {cq.get('all_pairs_f1')}  "
+              f"test_f1 {pq.get('test_f1')} -> {cq.get('test_f1')}", flush=True)
 
     done = [r for r in rows if r["parent"] and r["change"]]
     summary = {"pairs_run": len(rows), "pairs_complete": len(done)}
@@ -143,12 +162,15 @@ def compare(workload, seed, pairs, seconds, sides, metrics):
             "change_wins": wins,
             "claim_met": len(rows) >= 10 and wins >= 0.9 * len(rows) and sp["median"] - sc["median"] > iqr,
             "cand_recall_equal": all(r["parent"]["cand_recall"] == r["change"]["cand_recall"] for r in done),
+            "quality_equal": all(r["parent"]["quality"] is not None and
+                                 r["parent"]["quality"] == r["change"]["quality"] for r in done),
             "end_to_end": verdicts(done, metrics),
         })
         print(f"{workload} seed {seed if seed is not None else 'default'}: run_s parent median {sp['median']:.3f} "
               f"[{sp['q1']:.3f}, {sp['q3']:.3f}], change median {sc['median']:.3f} [{sc['q1']:.3f}, {sc['q3']:.3f}]; "
               f"change wins {wins}/{len(rows)}; parent IQR {iqr:.3f}; claim met: {summary['claim_met']}; "
-              f"cand_recall equal on every pair: {summary['cand_recall_equal']}", flush=True)
+              f"cand_recall equal on every pair: {summary['cand_recall_equal']}; "
+              f"quality (all-pairs F1, test F1) equal on every pair: {summary['quality_equal']}", flush=True)
         for name, v in summary["end_to_end"].items():
             print(f"{workload} {name}: parent median {v['parent_median']:.4f}, change median "
                   f"{v['change_median']:.4f}, parent IQR/median {v['parent_iqr_over_median']:.3f}, "

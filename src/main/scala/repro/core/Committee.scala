@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.index.EmbView
-import repro.ml.{Adam, Mlp, Vec}
+import repro.ml.{Adam, FdLibm, Mlp, Vec}
 import repro.util.{Par, Rnd}
 
 /** Blocker training objective (paper §3.2.3 and Table 5 ablation). */
@@ -34,15 +34,32 @@ final class Member(val d: Int, val mask: Array[Double], val u: Array[Double]) {
   /** The retained input dimensions (mask 1), ascending. */
   private[core] val kept: Array[Int] = (0 until d).filter(mask(_) == 1.0).toArray
 
+  /** E_k(e). Four rows of U per pass over the kept columns: each row's sum
+    * is still the bias plus its kept terms in ascending column order.
+    */
   def encode(e: Array[Double]): Array[Double] = {
     val out = new Array[Double](d)
+    val w = d + 1
     var j = 0
+    while (j + 4 <= d) {
+      val o0 = j * w; val o1 = o0 + w; val o2 = o1 + w; val o3 = o2 + w
+      var s0 = u(o0 + d); var s1 = u(o1 + d); var s2 = u(o2 + d); var s3 = u(o3 + d)
+      var t = 0
+      while (t < kept.length) {
+        val i = kept(t); val ei = e(i)
+        s0 += u(o0 + i) * ei; s1 += u(o1 + i) * ei; s2 += u(o2 + i) * ei; s3 += u(o3 + i) * ei
+        t += 1
+      }
+      out(j) = FdLibm.tanh(s0); out(j + 1) = FdLibm.tanh(s1)
+      out(j + 2) = FdLibm.tanh(s2); out(j + 3) = FdLibm.tanh(s3)
+      j += 4
+    }
     while (j < d) {
-      val off = j * (d + 1)
+      val off = j * w
       var s = u(off + d)
       var t = 0
       while (t < kept.length) { val i = kept(t); s += u(off + i) * e(i); t += 1 }
-      out(j) = math.tanh(s)
+      out(j) = FdLibm.tanh(s)
       j += 1
     }
     out
@@ -72,9 +89,14 @@ final class Member(val d: Int, val mask: Array[Double], val u: Array[Double]) {
   * plus the kept terms in ascending column order; each entry of `gU` sums
   * its records' terms from +0.0 in the order the records were added. Both
   * loops run over one whole row of sums at a time, each sum in its own slot
-  * of `acc`, so no sum changes order, and the JIT can vectorise them. The
-  * masked columns of `gU` are never written and stay +0.0, so AdamW (weight
-  * decay 0) leaves those columns of U exactly as they are.
+  * of `acc`, and add four terms to every slot per pass (four kept columns in
+  * [[forward]], four records in [[backward]]) in the order a one-term pass
+  * would: `acc = (((acc + t0) + t1) + t2) + t3`, so each slot is loaded and
+  * stored once per four terms, no sum changes order, and the JIT vectorises
+  * the pass. A count that is not a multiple of four ends with one-term
+  * passes. The activation is [[FdLibm.tanh]], bit for bit the
+  * `StrictMath.tanh` of the per-record arithmetic. The masked columns of `gU` are never written and stay +0.0, so
+  * AdamW (weight decay 0) leaves those columns of U exactly as they are.
   */
 private[core] final class MemberKernel(m: Member, capacity: Int) {
   val d: Int = m.d
@@ -96,6 +118,14 @@ private[core] final class MemberKernel(m: Member, capacity: Int) {
   private val acc = new Array[Double](math.max(capacity, d))
   private var n = 0
 
+  // The contrastive loss's buffers, sized for the most logits a step of
+  // `capacity` records can have (1 + 3 per negative pair): per logit, its
+  // value, its exp and a row of 2(u − v).
+  private val maxLogits = 1 + 3 * (capacity / 2)
+  private[core] val logits = new Array[Double](maxLogits)
+  private[core] val exps = new Array[Double](maxLogits)
+  private[core] val twoDiff = Array.ofDim[Double](maxLogits, d)
+
   /** Empties the record buffer for a new step. */
   def clear(): Unit = {
     var r = 0
@@ -113,7 +143,7 @@ private[core] final class MemberKernel(m: Member, capacity: Int) {
   }
 
   /** Encodes every record into `out`: for each row j of U, all records'
-    * sums at once.
+    * sums at once, four kept columns per pass.
     */
   def forward(): Unit = {
     var j = 0
@@ -121,6 +151,17 @@ private[core] final class MemberKernel(m: Member, capacity: Int) {
       val off = j * (d + 1)
       java.util.Arrays.fill(acc, 0, n, u(off + d))
       var t = 0
+      while (t + 4 <= kp) {
+        val a0 = u(off + kept(t)); val a1 = u(off + kept(t + 1))
+        val a2 = u(off + kept(t + 2)); val a3 = u(off + kept(t + 3))
+        val c0 = x(t); val c1 = x(t + 1); val c2 = x(t + 2); val c3 = x(t + 3)
+        var r = 0
+        while (r < n) {
+          acc(r) = (((acc(r) + a0 * c0(r)) + a1 * c1(r)) + a2 * c2(r)) + a3 * c3(r)
+          r += 1
+        }
+        t += 4
+      }
       while (t < kp) {
         val a = u(off + kept(t)); val col = x(t)
         var r = 0
@@ -128,14 +169,14 @@ private[core] final class MemberKernel(m: Member, capacity: Int) {
         t += 1
       }
       var r = 0
-      while (r < n) { out(r)(j) = math.tanh(acc(r)); r += 1 }
+      while (r < n) { out(r)(j) = FdLibm.tanh(acc(r)); r += 1 }
       j += 1
     }
   }
 
   /** `gU` = `scale` · Σ_records dz ⊗ (x, 1), summed in record order, where
     * dz = dOut ⊙ (1 − out²): for each retained column of U, then the bias,
-    * all rows' sums at once.
+    * all rows' sums at once, four records per pass.
     */
   def backward(scale: Double): Unit = {
     var r = 0
@@ -150,6 +191,16 @@ private[core] final class MemberKernel(m: Member, capacity: Int) {
       java.util.Arrays.fill(acc, 0, d, 0.0)
       val col = x(t)
       r = 0
+      while (r + 4 <= n) {
+        val e0 = col(r); val e1 = col(r + 1); val e2 = col(r + 2); val e3 = col(r + 3)
+        val g0 = dOut(r); val g1 = dOut(r + 1); val g2 = dOut(r + 2); val g3 = dOut(r + 3)
+        var j = 0
+        while (j < d) {
+          acc(j) = (((acc(j) + g0(j) * e0) + g1(j) * e1) + g2(j) * e2) + g3(j) * e3
+          j += 1
+        }
+        r += 4
+      }
       while (r < n) {
         val e = col(r); val dz = dOut(r)
         var j = 0
@@ -365,24 +416,48 @@ object Committee {
     *
     * Per positive p the logits are sim(rp, sp), then for each i:
     * sim(rn_i, sp), sim(rp, sn_i), sim(rn_i, sn_i). dsim/du = −2(u − v), so
-    * each pair's 2(u − v) is kept as a row of `twoDiff` and the gradient
-    * steps read it back: `du −= w·2(u − v)` is `du += w·(−2(u − v))` exactly.
-    * The (rn_i, sn_i) rows and logits do not depend on p and are computed
-    * once per step.
+    * each pair's 2(u − v) is kept as a row of the kernel's `twoDiff` and the
+    * gradient steps read it back: `du −= w·2(u − v)` is `du += w·(−2(u − v))`
+    * exactly. The (rn_i, sn_i) rows and logits do not depend on p and are
+    * computed once per step. Four logits' sums run in one pass over the
+    * dimensions, each its own serial sum.
     */
   private def contrastive(k: MemberKernel, b: Int, nb: Int): Double = {
     val out = k.out; val g = k.dOut
+    val twoDiff = k.twoDiff; val logits = k.logits; val exps = k.exps
     val nLogit = 1 + 3 * nb
-    val twoDiff = Array.ofDim[Double](nLogit, k.d) // row l: 2(u − v) of logit l's pair
-    val logits = new Array[Double](nLogit)
-    val exps = new Array[Double](nLogit)
-    // −‖u − v‖² of logit l's pair; fills row l
-    def sim(l: Int, u: Array[Double], v: Array[Double]): Double = {
-      val row = twoDiff(l)
-      var s = 0.0; var t = 0
-      while (t < row.length) { val diff = u(t) - v(t); s += diff * diff; row(t) = 2.0 * diff; t += 1 }
-      -s
+    // the records of logit l's pair (u, v) under positive p
+    def left(l: Int, p: Int): Array[Double] =
+      if (l == 0 || l % 3 == 2) out(2 * p) else out(2 * b + 2 * ((l - 1) / 3))
+    def right(l: Int, p: Int): Array[Double] =
+      if (l == 0 || l % 3 == 1) out(2 * p + 1) else out(2 * b + 2 * ((l - 1) / 3) + 1)
+    // logits(l) = −‖u − v‖² and row l of twoDiff = 2(u − v) for logit l's
+    // pair, for four logits in one pass
+    def sim4(p: Int, l0: Int, l1: Int, l2: Int, l3: Int): Unit = {
+      val u0 = left(l0, p); val v0 = right(l0, p); val w0 = twoDiff(l0)
+      val u1 = left(l1, p); val v1 = right(l1, p); val w1 = twoDiff(l1)
+      val u2 = left(l2, p); val v2 = right(l2, p); val w2 = twoDiff(l2)
+      val u3 = left(l3, p); val v3 = right(l3, p); val w3 = twoDiff(l3)
+      var s0, s1, s2, s3 = 0.0
+      var t = 0
+      while (t < k.d) {
+        val e0 = u0(t) - v0(t); s0 += e0 * e0; w0(t) = 2.0 * e0
+        val e1 = u1(t) - v1(t); s1 += e1 * e1; w1(t) = 2.0 * e1
+        val e2 = u2(t) - v2(t); s2 += e2 * e2; w2(t) = 2.0 * e2
+        val e3 = u3(t) - v3(t); s3 += e3 * e3; w3(t) = 2.0 * e3
+        t += 1
+      }
+      logits(l0) = -s0; logits(l1) = -s1; logits(l2) = -s2; logits(l3) = -s3
     }
+    def sim(p: Int, l: Int): Unit = {
+      val u = left(l, p); val v = right(l, p); val w = twoDiff(l)
+      var s = 0.0; var t = 0
+      while (t < k.d) { val e = u(t) - v(t); s += e * e; w(t) = 2.0 * e; t += 1 }
+      logits(l) = -s
+    }
+    // the q-th logit that depends on p: 0, then 1 + 3i and 2 + 3i for each i
+    def perPos(q: Int): Int = if (q == 0) 0 else 3 * ((q - 1) / 2) + 1 + (q - 1) % 2
+    val nPer = 1 + 2 * nb
     def addSimGrad(wt: Double, l: Int, du: Array[Double], dv: Array[Double]): Unit = {
       val row = twoDiff(l)
       var t = 0
@@ -390,19 +465,15 @@ object Committee {
       t = 0
       while (t < row.length) { dv(t) += wt * row(t); t += 1 }
     }
-    val negLogit = Array.tabulate(nb)(i => sim(3 + 3 * i, out(2 * b + 2 * i), out(2 * b + 2 * i + 1)))
+    var i = 0
+    while (i + 4 <= nb) { sim4(0, 3 + 3 * i, 6 + 3 * i, 9 + 3 * i, 12 + 3 * i); i += 4 }
+    while (i < nb) { sim(0, 3 + 3 * i); i += 1 }
     var total = 0.0
     var p = 0
     while (p < b) {
-      val rp = out(2 * p); val sp = out(2 * p + 1)
-      logits(0) = sim(0, rp, sp)
-      var i = 0
-      while (i < nb) {
-        logits(1 + 3 * i) = sim(1 + 3 * i, out(2 * b + 2 * i), sp)
-        logits(2 + 3 * i) = sim(2 + 3 * i, rp, out(2 * b + 2 * i + 1))
-        logits(3 + 3 * i) = negLogit(i)
-        i += 1
-      }
+      var q = 0
+      while (q + 4 <= nPer) { sim4(p, perPos(q), perPos(q + 1), perPos(q + 2), perPos(q + 3)); q += 4 }
+      while (q < nPer) { sim(p, perPos(q)); q += 1 }
       var mx = logits(0)
       var l = 1
       while (l < nLogit) { if (logits(l) > mx) mx = logits(l); l += 1 }

@@ -53,12 +53,14 @@ final class Matcher(val d: Int, seed: Long) extends Serializable {
     mlp.prob(features(er, es, scalars))
 
   /** Per-example backprop: accumulates head grads into `gHead` and Θ-scale
-    * grads into `gG`; returns the example loss.
+    * grads into `gG`; returns the example loss. The hidden layer is computed
+    * once, for the loss and the gradients.
     */
   def backprop(ex: TrainEx, gHead: Array[Double], gG: Array[Double]): Double = {
     val x = features(ex.er, ex.es, ex.scalars)
-    val loss = Mlp.bceFromLogit(mlp.score(x), ex.y)
-    val gx = mlp.backprop(x, ex.y, gHead)
+    val h = mlp.hidden(x)
+    val loss = Mlp.bceFromLogit(mlp.outLogit(h), ex.y)
+    val gx = mlp.backprop(x, h, ex.y, gHead)
     var i = 0
     while (i < d) {
       val u = g(i) * ex.er(i)
@@ -122,11 +124,11 @@ final class Matcher(val d: Int, seed: Long) extends Serializable {
 
 object Matcher {
   /** AdamW learning rates of the head and of Θ(g), and the head's width. */
-  private val HeadLr = 0.02
-  private val GLr = 0.004
+  private[core] val HeadLr = 0.02
+  private[core] val GLr = 0.004
   private val NHidden = 32
   /** Label-smoothing ε of the training targets. */
-  private val LabelSmooth = 0.1
+  private[core] val LabelSmooth = 0.1
 }
 
 /** Broadcastable pair scorer: recomputes embeddings + features in-task.

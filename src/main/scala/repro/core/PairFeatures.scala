@@ -90,7 +90,7 @@ object PairFeatures {
       }
       i += 1
     }
-    val bothDigits = r.isDigit.contains(true) && s.isDigit.contains(true)
+    val bothDigits = r.hasDigit && s.hasDigit
     val digitAgree =
       if (!bothDigits) 0.5     // no evidence
       else if (digitShared) 1.0 // aligned ids
@@ -155,7 +155,10 @@ final class RecordProfile private[core] (
     private[core] val tokGrams: Array[Array[Int]],
     private[core] val isDigit: Array[Boolean],
     private[core] val grams: Array[Int],
-)
+) {
+  /** Whether any token holds a digit. */
+  private[core] val hasDigit: Boolean = isDigit.exists(identity)
+}
 
 final class PairFeaturizer(idf: Map[String, Double]) extends Serializable {
   private val defaultIdf: Double =

@@ -70,10 +70,15 @@ object NnIndex {
   *
   * The vectors are stored column by column, one array of length n per
   * dimension. A search keeps one accumulator per indexed vector and adds
-  * (q_i − x_i)² for every vector at once, dimension by dimension in
-  * ascending order: each distance is the same serial sum, in the same order,
-  * as `Vec.distSq(q, x)`, bit for bit. The inner loop reads and writes the
-  * same position of two arrays, a form the JIT vectorises.
+  * (q_i − x_i)² for every vector at once, four dimensions per pass in
+  * ascending order: `acc = (((acc + t0²) + t1²) + t2²) + t3²`, the first
+  * pass starting from `0.0 + t0²`, and a dimension count that is not a
+  * multiple of four ending with one-dimension passes. Each distance is
+  * therefore the same serial sum, in the same order, as
+  * `Vec.distSq(q, x)`, bit for bit. The inner loop reads and writes the same
+  * position of its arrays, a form the JIT vectorises. The accumulators are
+  * one array per thread, reused by every search that thread runs. Vectors
+  * that cannot enter the top k are not offered to it.
   */
 final class ExactIndex(idsIn: Array[Int], vecsIn: Array[Array[Double]]) extends NnIndex {
   require(idsIn.length == vecsIn.length, "ids/vectors length mismatch")
@@ -91,17 +96,63 @@ final class ExactIndex(idsIn: Array[Int], vecsIn: Array[Array[Double]]) extends 
   override def search(q: Array[Double], k: Int): Array[(Int, Double)] = {
     if (k <= 0 || n == 0) return Array.empty
     require(q.length == dim, s"query has ${q.length} dimensions, index has $dim")
-    val acc = new Array[Double](n)
+    val acc = ExactIndex.accumulator(n)
     var i = 0
+    if (dim >= 4) {
+      val q0 = q(0); val q1 = q(1); val q2 = q(2); val q3 = q(3)
+      val c0 = cols(0); val c1 = cols(1); val c2 = cols(2); val c3 = cols(3)
+      var j = 0
+      while (j < n) {
+        val t0 = q0 - c0(j); val t1 = q1 - c1(j); val t2 = q2 - c2(j); val t3 = q3 - c3(j)
+        acc(j) = (((0.0 + t0 * t0) + t1 * t1) + t2 * t2) + t3 * t3
+        j += 1
+      }
+      i = 4
+    } else if (dim > 0) {
+      val q0 = q(0); val c0 = cols(0)
+      var j = 0
+      while (j < n) { val t = q0 - c0(j); acc(j) = 0.0 + t * t; j += 1 }
+      i = 1
+    } else java.util.Arrays.fill(acc, 0, n, 0.0)
+    while (i + 4 <= dim) {
+      val q0 = q(i); val q1 = q(i + 1); val q2 = q(i + 2); val q3 = q(i + 3)
+      val c0 = cols(i); val c1 = cols(i + 1); val c2 = cols(i + 2); val c3 = cols(i + 3)
+      var j = 0
+      while (j < n) {
+        val t0 = q0 - c0(j); val t1 = q1 - c1(j); val t2 = q2 - c2(j); val t3 = q3 - c3(j)
+        acc(j) = (((acc(j) + t0 * t0) + t1 * t1) + t2 * t2) + t3 * t3
+        j += 1
+      }
+      i += 4
+    }
     while (i < dim) {
       val qi = q(i); val col = cols(i)
       var j = 0
       while (j < n) { val t = qi - col(j); acc(j) += t * t; j += 1 }
       i += 1
     }
-    val top = new NnIndex.TopK(math.min(k, n))
+    val kk = math.min(k, n)
+    val top = new NnIndex.TopK(kk)
     var j = 0
-    while (j < n) { top.offer(ids(j), acc(j)); j += 1 }
+    while (j < n) {
+      val d = acc(j)
+      // offer returns at once on exactly this condition; NaN goes through
+      if (!(top.n == kk && d >= top.ds(kk - 1))) top.offer(ids(j), d)
+      j += 1
+    }
     top.result()
+  }
+}
+
+object ExactIndex {
+  private val buffers = new ThreadLocal[Array[Double]]
+
+  /** This thread's accumulator array, at least `n` long; its contents are
+    * whatever the thread's last search left.
+    */
+  private def accumulator(n: Int): Array[Double] = {
+    val a = buffers.get
+    if (a != null && a.length >= n) a
+    else { val b = new Array[Double](n); buffers.set(b); b }
   }
 }

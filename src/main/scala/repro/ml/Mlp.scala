@@ -6,9 +6,12 @@ import repro.util.Rnd
   *
   * Implements forward and manual backprop (checked against finite
   * differences in the test suite) over one flat parameter array, the array
-  * the optimiser steps in place. The program scores on the driver; instances
-  * stay serializable for the benchmark replay's Spark scoring scan
-  * (`SparkKnn.scorePairs`).
+  * the optimiser steps in place. Its dense loops run four hidden units per
+  * pass and keep every sum in the order of a one-unit loop, so the results
+  * are those of the plain per-unit arithmetic bit for bit; tanh is
+  * [[FdLibm.tanh]], bit for bit `StrictMath.tanh`. The program scores on
+  * the driver; instances stay serializable for the benchmark replay's Spark
+  * scoring scan (`SparkKnn.scorePairs`).
   */
 final class Mlp(val nIn: Int, val nHidden: Int, seed: Long) extends Serializable {
   def nParams: Int = nHidden * nIn + nHidden + nHidden + 1
@@ -28,17 +31,35 @@ final class Mlp(val nIn: Int, val nHidden: Int, seed: Long) extends Serializable
 
   /** Hidden activations h = tanh(W1 x + b1). Exposed for BADGE's gradient
     * embedding (d loss / d output-layer weights = (p - y) * h).
+    *
+    * Four hidden units per pass over the input: four independent sums,
+    * each still its bias plus its terms in input order.
     */
   def hidden(x: Array[Double]): Array[Double] = {
     require(x.length == nIn, s"hidden: expected $nIn inputs, got ${x.length}")
     val h = new Array[Double](nHidden)
     var j = 0
+    while (j + 4 <= nHidden) {
+      val o0 = j * nIn; val o1 = o0 + nIn; val o2 = o1 + nIn; val o3 = o2 + nIn
+      var s0 = params(b1Off + j); var s1 = params(b1Off + j + 1)
+      var s2 = params(b1Off + j + 2); var s3 = params(b1Off + j + 3)
+      var i = 0
+      while (i < nIn) {
+        val xi = x(i)
+        s0 += params(o0 + i) * xi; s1 += params(o1 + i) * xi
+        s2 += params(o2 + i) * xi; s3 += params(o3 + i) * xi
+        i += 1
+      }
+      h(j) = FdLibm.tanh(s0); h(j + 1) = FdLibm.tanh(s1)
+      h(j + 2) = FdLibm.tanh(s2); h(j + 3) = FdLibm.tanh(s3)
+      j += 4
+    }
     while (j < nHidden) {
       var s = params(b1Off + j)
       val off = j * nIn
       var i = 0
       while (i < nIn) { s += params(off + i) * x(i); i += 1 }
-      h(j) = math.tanh(s)
+      h(j) = FdLibm.tanh(s)
       j += 1
     }
     h
@@ -63,8 +84,14 @@ final class Mlp(val nIn: Int, val nHidden: Int, seed: Long) extends Serializable
     * returns the gradient w.r.t. the input x (needed to fine-tune the
     * simulated-TPLM scale g upstream). `y` is the 0/1 label.
     */
-  def backprop(x: Array[Double], y: Double, gFlat: Array[Double]): Array[Double] = {
-    val h = hidden(x)
+  def backprop(x: Array[Double], y: Double, gFlat: Array[Double]): Array[Double] =
+    backprop(x, hidden(x), y, gFlat)
+
+  /** [[backprop]] given the example's hidden activations `h = hidden(x)`.
+    * The input gradient sums over the hidden units in order, four units per
+    * pass over the input.
+    */
+  def backprop(x: Array[Double], h: Array[Double], y: Double, gFlat: Array[Double]): Array[Double] = {
     val p = Mlp.sigmoid(outLogit(h))
     val dScore = p - y // d CE / d logit
     val gxOut = new Array[Double](nIn)
@@ -76,15 +103,32 @@ final class Mlp(val nIn: Int, val nHidden: Int, seed: Long) extends Serializable
     }
     gFlat(b2Off) += dScore
     // hidden layer
+    def dH(j: Int): Double = dScore * params(w2Off + j) * (1.0 - h(j) * h(j))
     j = 0
+    while (j + 4 <= nHidden) {
+      val d0 = dH(j); val d1 = dH(j + 1); val d2 = dH(j + 2); val d3 = dH(j + 3)
+      gFlat(b1Off + j) += d0; gFlat(b1Off + j + 1) += d1
+      gFlat(b1Off + j + 2) += d2; gFlat(b1Off + j + 3) += d3
+      val o0 = j * nIn; val o1 = o0 + nIn; val o2 = o1 + nIn; val o3 = o2 + nIn
+      var i = 0
+      while (i < nIn) {
+        val xi = x(i)
+        gFlat(o0 + i) += d0 * xi; gFlat(o1 + i) += d1 * xi
+        gFlat(o2 + i) += d2 * xi; gFlat(o3 + i) += d3 * xi
+        gxOut(i) = (((gxOut(i) + d0 * params(o0 + i)) + d1 * params(o1 + i)) +
+                    d2 * params(o2 + i)) + d3 * params(o3 + i)
+        i += 1
+      }
+      j += 4
+    }
     while (j < nHidden) {
-      val dH = dScore * params(w2Off + j) * (1.0 - h(j) * h(j))
-      gFlat(b1Off + j) += dH
+      val d0 = dH(j)
+      gFlat(b1Off + j) += d0
       val off = j * nIn
       var i = 0
       while (i < nIn) {
-        gFlat(off + i) += dH * x(i)
-        gxOut(i) += dH * params(off + i)
+        gFlat(off + i) += d0 * x(i)
+        gxOut(i) += d0 * params(off + i)
         i += 1
       }
       j += 1

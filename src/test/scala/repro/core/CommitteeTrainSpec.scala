@@ -99,14 +99,18 @@ class CommitteeTrainSpec extends AnyFunSuite {
     (Classification, LabeledNegs), (Contrastive, LabeledNegs))
 
   private def assertMatchesReference(world: World, d: Int, objective: Objective, negMode: NegMode,
-                                     n: Int, reps: Int): Unit = {
+                                     n: Int, reps: Int): Unit =
+    assertMatchesReference(world, objective, negMode, n, reps, () => Committee.init(n, d, 0.75, seed = 91))
+
+  private def assertMatchesReference(world: World, objective: Objective, negMode: NegMode,
+                                     n: Int, reps: Int, committee: () => Committee): Unit = {
     val (pos, rPool, sPool, labeledNegs) = world
     val cfg = Committee.TrainConfig(objective = objective, negMode = negMode, epochs = 4)
-    val ref = Committee.init(n, d, 0.75, seed = 91)
+    val ref = committee()
     val (refLoss, refHeads) =
       sequentialTrain(ref, cfg, pos, rPool, sPool, labeledNegs, new Rnd.Gen(92))
     (1 to reps).foreach { rep =>
-      val com = Committee.init(n, d, 0.75, seed = 91)
+      val com = committee()
       val (loss, heads) =
         Committee.trainWithHeads(com, cfg, pos, rPool, sPool, labeledNegs, new Rnd.Gen(92))
       assert(loss == refLoss, s"repetition $rep: loss $loss vs $refLoss")
@@ -181,5 +185,75 @@ class CommitteeTrainSpec extends AnyFunSuite {
                             pos, rPool, sPool, labeledNegs, rngB)._1
     assert(a == b)
     assert(rngA.nextLong() == rngB.nextLong(), "rng left in a different state")
+  }
+
+  /** Two members at d = 64 whose masks keep exactly `kept` columns, with
+    * near-identity U.
+    */
+  private def keeping(kept: Int, seed: Long): Committee = {
+    val g = new Rnd.Gen(seed)
+    val members = (0 until 2).map { _ =>
+      val order = g.permutation(productionD)
+      val mask = Array.tabulate(productionD)(i => if (order(i) < kept) 1.0 else 0.0)
+      val u = Array.tabulate(productionD * (productionD + 1)) { at =>
+        val (j, i) = (at / (productionD + 1), at % (productionD + 1))
+        (if (i == j) 1.0 else 0.0) + 0.05 * g.nextGaussian()
+      }
+      new Member(productionD, mask, u)
+    }
+    new Committee(members)
+  }
+
+  // The kernel adds four kept columns and four records per pass; these
+  // masks and batch sizes leave every count short of a multiple of four
+  // somewhere: 1, 2, 3, 5 and 63 kept columns, and a last step of one
+  // positive (a step of four records, three per-positive logits and one
+  // negative logit).
+  for (kept <- Seq(1, 2, 3, 5, 63); nPos <- Seq(1, 17, 33); (objective, negMode) <- cases) {
+    test(s"training equals the reference with $kept kept columns and $nPos positives: $objective × $negMode") {
+      val (pos, rPool, sPool, labeledNegs) = productionWorld
+      assertMatchesReference((pos.take(nPos), rPool, sPool, labeledNegs), objective, negMode, n = 2, reps = 1,
+                             () => keeping(kept, seed = 98 + kept))
+    }
+  }
+
+  test("one batch and one record equal the reference for record counts that are not a multiple of four") {
+    val (pos, rPool, sPool, _) = productionWorld
+    for (kept <- Seq(1, 3, 5, 63); (nPos, nNeg) <- Seq((1, 0), (1, 2), (3, 1), (2, 5), (7, 4))) {
+      val m = keeping(kept, seed = 99).members(0)
+      val what = s"kept $kept, $nPos positives, $nNeg negatives"
+      val (loss, gU, _) = Committee.batchLossGrad(m, Contrastive, Committee.Margin, Array.emptyDoubleArray,
+                                                  pos.take(nPos), rPool.take(nNeg), sPool.take(nNeg))
+      val (refLoss, refGU) = ReferenceKernel.contrastiveLossGrad(m, pos.take(nPos), rPool.take(nNeg), sPool.take(nNeg))
+      assert(loss == refLoss, what)
+      assert(gU.sameElements(refGU), what)
+      val head = Array.tabulate(3 * productionD + 1)(i => 0.01 * ((i % 7) - 3))
+      val (cLoss, cGU, cHead) = Committee.batchLossGrad(m, Classification, Committee.Margin, head,
+                                                        pos.take(nPos), rPool.take(nNeg), sPool.take(nNeg))
+      val (refCLoss, refCGU, refCHead) =
+        ReferenceKernel.classificationLossGrad(m, head, pos.take(nPos), rPool.take(nNeg), sPool.take(nNeg))
+      assert(cLoss == refCLoss && cGU.sameElements(refCGU) && cHead.sameElements(refCHead), what)
+      // one record through Member.encode and Member.backprop
+      val e = rPool(1); val out = m.encode(e)
+      assert(out.sameElements(ReferenceKernel.encode(m, e)), what)
+      val dOut = sPool(2)
+      val got = new Array[Double](m.u.length); val exp = new Array[Double](m.u.length)
+      m.backprop(e, out, dOut, got)
+      ReferenceKernel.backprop(m, e, out, dOut, exp)
+      assert(got.sameElements(exp), what)
+    }
+  }
+
+  test("encode equals the reference at widths that are not a multiple of four") {
+    val g = new Rnd.Gen(100)
+    for (d <- Seq(1, 2, 3, 5, 7, 65)) {
+      val com = Committee.init(3, d, 0.75, seed = 101L + d)
+      com.members.foreach { m =>
+        (1 to 5).foreach { _ =>
+          val e = Array.fill(d)(g.nextGaussian())
+          assert(m.encode(e).sameElements(ReferenceKernel.encode(m, e)), s"d=$d")
+        }
+      }
+    }
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.ml.{Mlp, Vec}
+import repro.ml.{Adam, Mlp, ReferenceMlp, Vec}
 import repro.util.Rnd
 
 class MatcherSpec extends AnyFunSuite {
@@ -154,5 +154,69 @@ class MatcherSpec extends AnyFunSuite {
     val sA = Seq("zorvex kx100 dark red")
     val direct = m.prob(emb.recordVec(rA), emb.recordVec(sA), PairFeatures.scalars(rA, sA))
     assert(math.abs(scorer.prob(rA, sA) - direct) < 1e-12)
+  }
+
+  /** [[Matcher.train]] over the per-unit head arithmetic of [[ReferenceMlp]],
+    * which computes the hidden layer once for the loss and again for the
+    * gradients.
+    */
+  private def referenceTrain(m: Matcher, data: IndexedSeq[TrainEx], epochs: Int, batch: Int,
+                             rng: Rnd.Gen): Double = {
+    val adamHead = new Adam(m.mlp.nParams, Matcher.HeadLr)
+    val adamG = new Adam(m.d, Matcher.GLr, weightDecay = 0.0)
+    val smoothed = data.map(ex => ex.copy(y = ex.y * (1 - 2 * Matcher.LabelSmooth) + Matcher.LabelSmooth))
+    def backprop(ex: TrainEx, gHead: Array[Double], gG: Array[Double]): Double = {
+      val x = m.features(ex.er, ex.es, ex.scalars)
+      val loss = Mlp.bceFromLogit(ReferenceMlp.score(m.mlp, x), ex.y)
+      val gx = ReferenceMlp.backprop(m.mlp, x, ex.y, gHead)
+      var i = 0
+      while (i < m.d) {
+        val u = m.g(i) * ex.er(i)
+        val v = m.g(i) * ex.es(i)
+        val sgn = math.signum(u - v)
+        val du = gx(i) * sgn + gx(m.d + i) * v
+        val dv = -gx(i) * sgn + gx(m.d + i) * u
+        gG(i) += du * ex.er(i) + dv * ex.es(i)
+        i += 1
+      }
+      loss
+    }
+    var lastEpochLoss = 0.0
+    (0 until epochs).foreach { _ =>
+      val order = rng.permutation(smoothed.length)
+      lastEpochLoss = 0.0
+      smoothed.indices.grouped(batch).foreach { idx =>
+        val gHead = Vec.zeros(m.mlp.nParams)
+        val gG = Vec.zeros(m.d)
+        idx.foreach(i => lastEpochLoss += backprop(smoothed(order(i)), gHead, gG))
+        Vec.scaleI(gHead, 1.0 / idx.length); Vec.scaleI(gG, 1.0 / idx.length)
+        adamHead.step(m.mlp.params, gHead)
+        adamG.step(m.g, gG)
+      }
+    }
+    lastEpochLoss / math.max(1, smoothed.length)
+  }
+
+  test("training, prob and gradEmbedding equal the per-unit reference head bit for bit") {
+    val rng = new Rnd.Gen(16)
+    val data = (1 to 45).map { _ =>
+      TrainEx(Array.fill(d)(rng.nextGaussian()), Array.fill(d)(rng.nextGaussian()),
+              randomScalars(), if (rng.nextBoolean(0.4)) 1.0 else 0.0)
+    }
+    val m = new Matcher(d, seed = 17)
+    val ref = new Matcher(d, seed = 17)
+    val loss = m.train(data, epochs = 5, batch = 16, new Rnd.Gen(18))
+    val refLoss = referenceTrain(ref, data, epochs = 5, batch = 16, new Rnd.Gen(18))
+    assert(loss == refLoss)
+    assert(m.mlp.params.sameElements(ref.mlp.params), "head parameters")
+    assert(m.g.sameElements(ref.g), "g")
+    data.foreach { ex =>
+      val x = m.features(ex.er, ex.es, ex.scalars)
+      assert(m.prob(ex.er, ex.es, ex.scalars) == ReferenceMlp.prob(m.mlp, x))
+      val h = ReferenceMlp.hidden(m.mlp, x)
+      val p = Mlp.sigmoid(ReferenceMlp.outLogit(m.mlp, h))
+      val yHat = if (p > 0.5) 1.0 else 0.0
+      assert(m.gradEmbedding(ex.er, ex.es, ex.scalars).sameElements(h.map((p - yHat) * _) :+ (p - yHat)))
+    }
   }
 }

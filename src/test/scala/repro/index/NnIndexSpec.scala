@@ -154,4 +154,51 @@ class NnIndexSpec extends AnyFunSuite {
       }
     }
   }
+
+  // The search adds four dimensions per pass; these leave a tail of 1, 2
+  // or 3 one-dimension passes, or no full pass at all.
+  test("ExactIndex equals the reference at dimensions that are not a multiple of four") {
+    val g = new Rnd.Gen(22)
+    for (d <- Seq(1, 2, 3, 5, 63, 65); n <- Seq(1, 9, 301)) {
+      val ids = Array.tabulate(n)(identity)
+      val vecs = randomPoints(n, d, 1000L * d + n)
+      val idx = new ExactIndex(ids, vecs)
+      val ref = new ReferenceIndex.RowMajor(ids, vecs)
+      val queries = Array.fill(4)(Array.fill(d)(g.nextGaussian())) ++ vecs.take(1)
+      for (k <- Seq(1, 5, n + 1); q <- queries)
+        sameBits(idx.search(q, k), ref.search(q, k), s"d=$d n=$n k=$k")
+    }
+  }
+
+  test("a search on a small index right after one on a larger index reads none of its sums") {
+    val g = new Rnd.Gen(23)
+    for (d <- Seq(0, 1, 3, 4, 9)) {
+      val big = randomPoints(2000, d, 24)
+      val small = randomPoints(7, d, 25)
+      val bigIdx = new ExactIndex(Array.tabulate(big.length)(identity), big)
+      val smallIdx = new ExactIndex(Array.tabulate(small.length)(identity), small)
+      val smallRef = new ReferenceIndex.RowMajor(Array.tabulate(small.length)(identity), small)
+      (1 to 3).foreach { _ =>
+        // far-away queries leave large sums in the big index's accumulators
+        bigIdx.search(Array.fill(d)(100.0 * g.nextGaussian()), 3)
+        val q = Array.fill(d)(g.nextGaussian())
+        sameBits(smallIdx.search(q, 7), smallRef.search(q, 7), s"d=$d")
+      }
+    }
+  }
+
+  test("NaN distances reach the top k as they do in the reference") {
+    val g = new Rnd.Gen(26)
+    val d = 6
+    val vecs = randomPoints(40, d, 27)
+    vecs(3)(2) = Double.NaN
+    vecs(17)(5) = Double.NaN
+    val ids = Array.tabulate(vecs.length)(identity)
+    val idx = new ExactIndex(ids, vecs)
+    val ref = new ReferenceIndex.RowMajor(ids, vecs)
+    val nanQuery = Array.fill(d)(g.nextGaussian()); nanQuery(0) = Double.NaN
+    for (q <- Seq(Array.fill(d)(g.nextGaussian()), vecs(5), nanQuery); k <- Seq(1, 3, 20, 45))
+      sameBits(idx.search(q, k), ref.search(q, k), s"k=$k")
+    assert(idx.search(nanQuery, 3).forall(_._2.isNaN))
+  }
 }
