@@ -7,45 +7,86 @@ import scala.collection.mutable
 final case class RoundStat(round: Int, nLabeled: Int, candRecall: Double,
                            testF1: Double, allF1: Double)
 
-/** Algorithm 1's protocol, shared by every AL method of Table 2 (paper §3,
+/** Wall-clock seconds of one round's stages (paper Table 9): matcher
+  * training, committee training, indexing and retrieval of CAND, scoring
+  * CAND, and the selector call, which the loop times (0 in the final pass).
+  * A stage a method does not have reads 0.
+  */
+final case class StageTimes(matcherSec: Double, committeeSec: Double, retrieveSec: Double,
+                            scoreSec: Double, selectorSec: Double = 0.0) {
+  /** Table 9's "Selection": scoring CAND, which feeds the selector, plus the selector call. */
+  def selectionSec: Double = scoreSec + selectorSec
+}
+
+/** Outcome of one full run: one stat and one stage record per round (the
+  * last for the final pass), the final |T|, and the final pass's CAND recall
+  * and PRFs.
+  */
+final case class RunResult(method: String, dsName: String, roundStats: IndexedSeq[RoundStat],
+                           stageTimes: IndexedSeq[StageTimes], candRecall: Double,
+                           testPRF: PRF, allPRF: PRF, nLabeled: Int) {
+  /** Table 9: the last labeling round's stage times; zeros when there is none. */
+  def lastTimes: StageTimes =
+    if (stageTimes.length < 2) StageTimes(0, 0, 0, 0) else stageTimes(stageTimes.length - 2)
+
+  /** The find-all pass (Table 2's runtime and, at rounds = 0, Table 10's):
+    * the final pass's retrieval and scoring.
+    */
+  def findAllSec: Double = stageTimes.last.retrieveSec + stageTimes.last.scoreSec
+}
+
+/** Algorithm 1's protocol, shared by every method of Table 2 (paper §3,
   * §4.3): from the seed T, each round evaluates CAND and asks the gold oracle
   * for up to B labels among its selectable pairs; a final pass (round
   * `rounds + 1`) is evaluated and labels nothing. The methods differ only in
-  * the round function, which trains the learner and blocker on T.
+  * the round function, which trains the learner and blocker on T; a method
+  * without labeling (JedAI) is one final pass at rounds = 0.
   */
 object ActiveLearning {
 
   /** One round's CAND in order (each pair once), each pair's duplicate
-    * probability, and the selector, which picks up to `budget` pairs from
-    * the selectable CAND indices (neither labeled nor in the test split, in
-    * CAND order).
+    * probability, the selector, which picks up to `budget` pairs from the
+    * selectable CAND indices (neither labeled nor in the test split, in
+    * CAND order), and the seconds of the stages before selection.
     */
   final case class Round(cand: IndexedSeq[(Int, Int)], probs: IndexedSeq[Double],
-                         select: (IndexedSeq[Int], Int) => IndexedSeq[(Int, Int)])
+                         select: (IndexedSeq[Int], Int) => IndexedSeq[(Int, Int)],
+                         times: StageTimes)
 
-  /** Per-round stats, the final |T|, and the final pass's CAND recall and PRFs. */
-  final case class Outcome(stats: IndexedSeq[RoundStat], nLabeled: Int,
-                           candRecall: Double, testPRF: PRF, allPRF: PRF)
+  /** `body`'s value and its wall-clock seconds: how every stage is timed. */
+  def timed[A](body: => A): (A, Double) = {
+    val t0 = System.nanoTime()
+    val a = body
+    (a, (System.nanoTime() - t0) / 1e9)
+  }
 
-  def run(ds: ERDataset, seed: IndexedSeq[LabeledPair], rounds: Int, budget: Int)
-         (round: (IndexedSeq[LabeledPair], Int) => Round): Outcome = {
+  def run(method: String, ds: ERDataset, seed: IndexedSeq[LabeledPair], rounds: Int, budget: Int)
+         (round: (IndexedSeq[LabeledPair], Int) => Round): RunResult = {
+    require(rounds >= 0, s"$method on ${ds.name}: rounds = $rounds is negative")
     var t = seed
     val labeled = mutable.HashSet.from(seed.map(lp => (lp.rId, lp.sId)))
     val stats = IndexedSeq.newBuilder[RoundStat]
-    var last = Outcome(IndexedSeq.empty, 0, 0.0, PRF(0, 0, 0), PRF(0, 0, 0))
+    val stageTimes = IndexedSeq.newBuilder[StageTimes]
+    var candRecall = 0.0
+    var testPRF, allPRF = PRF(0, 0, 0)
     for (r <- 1 to rounds + 1) {
-      val Round(cand, probs, select) = round(t, r)
+      Console.err.println(s"[al] $method ${ds.name} round=$r |T|=${t.length} |T_p|=${t.count(_.y)}")
+      val Round(cand, probs, select, times) = round(t, r)
       val predicted = cand.indices.collect { case i if probs(i) > 0.5 => cand(i) }.toSet
-      last = Outcome(IndexedSeq.empty, t.length, Metrics.candRecall(cand, ds.dups),
-                     Metrics.testEval(ds.testPairs, predicted), Metrics.allPairs(predicted, ds.dups))
-      stats += RoundStat(r, t.length, last.candRecall, last.testPRF.f1, last.allPRF.f1)
-      if (r <= rounds) {
+      candRecall = Metrics.candRecall(cand, ds.dups)
+      testPRF = Metrics.testEval(ds.testPairs, predicted)
+      allPRF = Metrics.allPairs(predicted, ds.dups)
+      stats += RoundStat(r, t.length, candRecall, testPRF.f1, allPRF.f1)
+      if (r > rounds) stageTimes += times
+      else {
         val selectable = cand.indices.filterNot(i => labeled(cand(i)) || ds.testSet(cand(i)))
-        val newly = select(selectable, budget).map { case p @ (a, b) => LabeledPair(a, b, ds.dups(p)) }
+        val (picked, selectorSec) = timed(select(selectable, budget))
+        stageTimes += times.copy(selectorSec = selectorSec)
+        val newly = picked.map { case p @ (a, b) => LabeledPair(a, b, ds.dups(p)) }
         t = t ++ newly
         labeled ++= newly.map(lp => (lp.rId, lp.sId))
       }
     }
-    last.copy(stats = stats.result())
+    RunResult(method, ds.name, stats.result(), stageTimes.result(), candRecall, testPRF, allPRF, t.length)
   }
 }

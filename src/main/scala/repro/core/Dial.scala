@@ -2,6 +2,7 @@ package repro.core
 
 import java.util.IdentityHashMap
 import org.apache.spark.sql.SparkSession
+import repro.core.ActiveLearning.timed
 import repro.data.ERDataset
 import repro.index.{EmbView, NnIndex}
 import repro.rules.RulesBlocker
@@ -38,21 +39,6 @@ final case class DialConfig(
     trainG: Boolean = true,
     embedDim: Int = 64,
     seed: Long = 7,
-)
-
-/** Wall-clock (seconds) of the operations of one AL round (paper Table 9). */
-final case class OpTimes(matcherSec: Double, committeeSec: Double,
-                         retrieveSec: Double, selectSec: Double)
-
-/** Outcome of one full AL run. */
-final case class RunResult(
-    method: String, dsName: String,
-    roundStats: IndexedSeq[RoundStat],
-    candRecall: Double,
-    testPRF: PRF, allPRF: PRF,
-    lastTimes: OpTimes,
-    findAllSec: Double,
-    nLabeled: Int,
 )
 
 /** DIAL's active-learning loop (Algorithm 1) plus every baseline blocking
@@ -122,6 +108,8 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
         if (!ds.dups.contains(pair) && !ds.testSet.contains(pair)) negs += pair
       }
     }
+    require(negs.size == cfg.seedNeg,
+      s"dataset ${ds.name}: found ${negs.size} of ${cfg.seedNeg} seed negatives")
     (pos.toIndexedSeq ++ negs.toIndexedSeq.map { case (a, b) => LabeledPair(a, b, y = false) })
   }
 
@@ -144,12 +132,14 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
 
   // ------------------------------------------------------------- training
 
-  private def trainMatcher(data: IndexedSeq[TrainEx], round: Int, epochs: Int): Matcher = {
+  /** T's training examples and the matcher trained on them. */
+  private def trainMatcher(t: IndexedSeq[LabeledPair], round: Int): (IndexedSeq[TrainEx], Matcher) = {
+    val data = t.map(trainEx)
     // re-initialised from "pretrained weights" every round, as in §4.2
     val m = new Matcher(d, Rnd.combine(cfg.seed, 100 + round))
-    m.train(data, epochs, batch = 16, new Rnd.Gen(Rnd.combine(cfg.seed, 200 + round)),
+    m.train(data, cfg.matcherEpochs, batch = 16, new Rnd.Gen(Rnd.combine(cfg.seed, 200 + round)),
             trainG = cfg.trainG)
-    m
+    (data, m)
   }
 
   /** Trains `n` members with mask fraction `maskP` on T, over the
@@ -195,37 +185,29 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
 
   // ------------------------------------------------------------ retrieval
 
-  /** Table 9 "Indexing & Retrieval": the clock covers the index build. */
-  private def timedRetrieve(views: IndexedSeq[EmbView]): (IndexedSeq[CandPair], Double) = {
-    val t0 = System.nanoTime()
-    val idx = Blocker.buildIndexes(embedder.rBase, views)
-    val cand = Blocker.retrieveCand(embedder.sBase, views, idx, cfg.k, candSize)
-    (cand, (System.nanoTime() - t0) / 1e9)
-  }
+  /** CAND under `views`; Table 9's "Indexing & Retrieval" covers the index build. */
+  private def retrieve(views: IndexedSeq[EmbView]): IndexedSeq[CandPair] =
+    Blocker.retrieveCand(embedder.sBase, views, Blocker.buildIndexes(embedder.rBase, views), cfg.k, candSize)
 
-  /** The fixed candidate set of PairedFixed / Rules, computed once. */
-  private lazy val fixedCand: (IndexedSeq[CandPair], Double) =
-    if (cfg.blockerMode == RulesMode) {
-      val t0 = System.nanoTime()
-      val pairs = Dial.rulesFor(spark, ds)
-      (pairs.map { case (a, b) => CandPair(a, b, 0.0) }, (System.nanoTime() - t0) / 1e9)
-    } else timedRetrieve(IndexedSeq(new PlainView))
+  /** The fixed candidate set of PairedFixed / Rules, computed once, with its
+    * seconds, which count as every round's retrieval.
+    */
+  private lazy val fixedCand: (IndexedSeq[CandPair], Double) = timed(
+    if (cfg.blockerMode == RulesMode) Dial.rulesFor(spark, ds).map { case (a, b) => CandPair(a, b, 0.0) }
+    else retrieve(IndexedSeq(new PlainView)))
 
   // -------------------------------------------------------------- scoring
 
   /** Matcher probabilities of CAND, in CAND order, with each pair's
-    * features for the selectors; the pairs are scored concurrently on the
-    * driver from the profiles and base embeddings.
+    * features for the selectors, and the seconds they took; the pairs are
+    * scored concurrently outside Spark, from the profiles and base embeddings.
     */
-  private[core] def scoreCand(matcher: Matcher, cand: IndexedSeq[CandPair]): (IndexedSeq[(ScoredCand, Array[Double])], Double) = {
-    val t0 = System.nanoTime()
-    val out = Par.tabulate(cand.size) { i =>
+  private[core] def scoreCand(matcher: Matcher, cand: IndexedSeq[CandPair]): (IndexedSeq[(ScoredCand, Array[Double])], Double) =
+    timed(Par.tabulate(cand.size) { i =>
       val c = cand(i)
       val x = scalars(c.rId, c.sId)
       (ScoredCand(c.rId, c.sId, c.dist, matcher.prob(embedder.rBase(c.rId), embedder.sBase(c.sId), x)), x)
-    }
-    (out, (System.nanoTime() - t0) / 1e9)
-  }
+    })
 
   // ------------------------------------------------------------ selection
 
@@ -256,38 +238,17 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
 
   def run(): RunResult = {
     profiles // per-record precomputation, outside the Table 9 timers like the base embeddings
-    var lastTimes = OpTimes(0, 0, 0, 0)
-    var findAllSec = 0.0
-    val out = ActiveLearning.run(ds, seedSet(), cfg.rounds, cfg.budget) { (t, round) =>
-      Console.err.println(s"[dial] ${ds.name} ${cfg.blockerMode.name} round=$round " +
-        s"|T|=${t.length} |T_p|=${t.count(_.y)}")
-      val tm0 = System.nanoTime()
-      val tEx = t.map(trainEx)
-      val matcher = trainMatcher(tEx, round, cfg.matcherEpochs)
-      val matcherSec = (System.nanoTime() - tm0) / 1e9
-
-      val tc0 = System.nanoTime()
-      val views = blockerViews(t, matcher, round)
-      val committeeSec = (System.nanoTime() - tc0) / 1e9
-
-      val (cand, retrieveSec) = if (views.isEmpty) fixedCand else timedRetrieve(views)
+    ActiveLearning.run(cfg.blockerMode.name, ds, seedSet(), cfg.rounds, cfg.budget) { (t, round) =>
+      val ((tEx, matcher), matcherSec) = timed(trainMatcher(t, round))
+      val (views, committeeSec) = timed(blockerViews(t, matcher, round))
+      val (cand, retrieveSec) = if (views.isEmpty) fixedCand else timed(retrieve(views))
       val (scored, scoreSec) = scoreCand(matcher, cand)
-      // the last round is the find-all pass: Table 2's runtime and, at
-      // rounds = 0, Table 10's
-      findAllSec = retrieveSec + scoreSec
       ActiveLearning.Round(cand.map(c => (c.rId, c.sId)), scored.map(_._1.prob), (idx, budget) => {
-        val ts0 = System.nanoTime()
         val selectable = idx.map(scored)
-        val sel = Selectors.select(cfg.selector, selectable.map(_._1), budget,
-                                   selectorCtx(tEx, selectable, matcher, round))
-        // Table 9 semantics: "Selection" includes the matcher inference over
-        // CAND that feeds the uncertainty scores; retrieval is pure IBC.
-        lastTimes = OpTimes(matcherSec, committeeSec, retrieveSec, scoreSec + (System.nanoTime() - ts0) / 1e9)
-        sel
-      })
+        Selectors.select(cfg.selector, selectable.map(_._1), budget,
+                         selectorCtx(tEx, selectable, matcher, round))
+      }, StageTimes(matcherSec, committeeSec, retrieveSec, scoreSec))
     }
-    RunResult(cfg.blockerMode.name, ds.name, out.stats, out.candRecall,
-              out.testPRF, out.allPRF, lastTimes, findAllSec, out.nLabeled)
   }
 }
 

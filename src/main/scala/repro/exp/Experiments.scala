@@ -175,11 +175,11 @@ object Experiments {
   /** Table 9: time per operation in the final AL round of DIAL. */
   def table9(spark: SparkSession): Seq[String] = {
     val times = benchmarks.map(ds => dialRun(spark, ds, cfgFor(ds)).lastTimes)
-    grid("Operation", 22, Seq[(String, OpTimes => Double)](
+    grid("Operation", 22, Seq[(String, StageTimes => Double)](
       "Train Matcher" -> (_.matcherSec),
       "Train Committee" -> (_.committeeSec),
       "Indexing & Retrieval" -> (_.retrieveSec),
-      "Selection" -> (_.selectSec)).map { case (op, get) => (op, times.map(get), PaperNumbers.table9(op)) },
+      "Selection" -> (_.selectionSec)).map { case (op, get) => (op, times.map(get), PaperNumbers.table9(op)) },
       width = 8, digits = 2)
   }
 

@@ -1,7 +1,8 @@
 package repro.forest
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{ActiveLearning, Dial, DialConfig, LabeledPair, OpTimes, RunResult}
+import repro.core.{ActiveLearning, Dial, DialConfig, LabeledPair, RunResult, StageTimes}
+import repro.core.ActiveLearning.timed
 import repro.data.ERDataset
 import repro.util.{Par, Rnd}
 import scala.collection.mutable
@@ -32,14 +33,12 @@ object RfAl {
       RandomForest.fit(data.map(lp => feat(lp.rId, lp.sId)),
                        data.map(lp => if (lp.y) 1.0 else 0.0), NTrees, roundSeed)
 
-    // the candidates' features, fixed for the run; their time counts
-    // toward the find-all pass
-    val f0 = System.nanoTime()
-    val candFeats = Par.tabulate(cand.size) { i =>
+    // the candidates' features, fixed for the run; their time counts as
+    // every round's retrieval
+    val (candFeats, featSec) = timed(Par.tabulate(cand.size) { i =>
       val (rId, sId) = cand(i)
       SimFeatures.features(ds.rById(rId).attrs, ds.sById(sId).attrs)
-    }
-    val featSec = (System.nanoTime() - f0) / 1e9
+    })
 
     /** Vote fractions over the whole candidate set, in candidate order,
       * computed concurrently on the driver.
@@ -47,17 +46,12 @@ object RfAl {
     def score(forest: RandomForest): IndexedSeq[Double] =
       Par.tabulate(cand.size)(i => forest.voteFraction(candFeats(i)))
 
-    var findAllSec = 0.0
-    val out = ActiveLearning.run(ds, seedSet, rounds, budget) { (t, round) =>
-      val forest = train(t, Rnd.combine(Seed, round))
-      val t0 = System.nanoTime()
-      val probs = score(forest)
-      // the last round is the find-all pass
-      findAllSec = featSec + (System.nanoTime() - t0) / 1e9
+    ActiveLearning.run("Random Forest", ds, seedSet, rounds, budget) { (t, round) =>
+      val (forest, trainSec) = timed(train(t, Rnd.combine(Seed, round)))
+      val (probs, scoreSec) = timed(score(forest))
       ActiveLearning.Round(cand, probs, (selectable, b) =>
-        selectable.sortBy { i => val pr = probs(i); -(pr * (1.0 - pr)) }.take(b).map(cand))
+        selectable.sortBy { i => val pr = probs(i); -(pr * (1.0 - pr)) }.take(b).map(cand),
+        StageTimes(trainSec, 0, featSec, scoreSec))
     }
-    RunResult("Random Forest", ds.name, out.stats, out.candRecall, out.testPRF, out.allPRF,
-              OpTimes(0, 0, 0, 0), findAllSec, out.nLabeled)
   }
 }

@@ -2,7 +2,8 @@ package repro.jedai
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.{Metrics, OpTimes, PRF, RoundStat, RunResult}
+import repro.core.{ActiveLearning, PRF, RunResult, StageTimes}
+import repro.core.ActiveLearning.timed
 import repro.data.ERDataset
 
 /** The two JedAI workflow families the paper compares against (§4.3):
@@ -19,15 +20,15 @@ object JedaiPipelines {
 
   private val grid: Seq[Double] = BigDecimal(0.10) to BigDecimal(0.90) by BigDecimal(0.05) map (_.toDouble)
 
-  /** Grid search the matching threshold on collected (pair, jaccard) rows;
-    * the first threshold of maximal F1 wins.
+  /** Grid search of the matching threshold over the collected, distinct
+    * (pair, jaccard) rows: the first threshold of maximal all-pairs F1.
     */
-  private def bestThreshold(scored: Array[((Int, Int), Double)],
-                            gold: Set[(Int, Int)]): (Double, PRF) =
-    grid.map(th => (th, Metrics.allPairs(predictedAt(scored, th), gold))).maxBy(_._2.f1)
-
-  private def predictedAt(scored: Array[((Int, Int), Double)], th: Double): Set[(Int, Int)] =
-    scored.collect { case (p, j) if j >= th => p }.toSet
+  private def bestThreshold(scored: IndexedSeq[((Int, Int), Double)], gold: Set[(Int, Int)]): Double =
+    grid.maxBy { th =>
+      val predicted = scored.filter(_._2 >= th)
+      val tp = predicted.count(p => gold(p._1)).toLong
+      PRF(tp, predicted.length - tp, gold.size - tp).f1
+    }
 
   /** The key attribute a schema-based workflow would join on. */
   def keyAttr(ds: ERDataset): String =
@@ -35,38 +36,34 @@ object JedaiPipelines {
     else if (ds.schema.contains("description")) "description"
     else ds.schema.head
 
-  def schemaBased(spark: SparkSession, ds: ERDataset): RunResult = {
-    val t0 = System.nanoTime()
-    val attrs = Seq(keyAttr(ds))
-    val rt = TokenBlocking.tokenTable(ds.rDF(spark), attrs)
-    val st = TokenBlocking.tokenTable(ds.sDF(spark), attrs)
-    val scored = TokenBlocking.withJaccard(TokenBlocking.sharedTokens(rt, st), rt, st)
-      .filter(col("jac") >= grid.head)
-    evaluate("JedAI:Schema-based", ds, scored, t0)
-  }
+  def schemaBased(spark: SparkSession, ds: ERDataset): RunResult =
+    run("JedAI:Schema-based", ds) {
+      val attrs = Seq(keyAttr(ds))
+      val rt = TokenBlocking.tokenTable(ds.rDF(spark), attrs)
+      val st = TokenBlocking.tokenTable(ds.sDF(spark), attrs)
+      TokenBlocking.withJaccard(TokenBlocking.sharedTokens(rt, st), rt, st)
+        .filter(col("jac") >= grid.head)
+    }
 
-  def schemaAgnostic(spark: SparkSession, ds: ERDataset): RunResult = {
-    val t0 = System.nanoTime()
-    val rt = TokenBlocking.tokenTable(ds.rDF(spark), ds.schema)
-    val st = TokenBlocking.tokenTable(ds.sDF(spark), ds.schema)
-    val pruned = MetaBlocking.weightedEdgePruning(TokenBlocking.sharedTokens(rt, st))
-    evaluate("JedAI:Schema-agnostic", ds, TokenBlocking.withJaccard(pruned, rt, st), t0)
-  }
+  def schemaAgnostic(spark: SparkSession, ds: ERDataset): RunResult =
+    run("JedAI:Schema-agnostic", ds) {
+      val rt = TokenBlocking.tokenTable(ds.rDF(spark), ds.schema)
+      val st = TokenBlocking.tokenTable(ds.sDF(spark), ds.schema)
+      TokenBlocking.withJaccard(MetaBlocking.weightedEdgePruning(TokenBlocking.sharedTokens(rt, st)), rt, st)
+    }
 
-  /** Collects the (rid, sid, jac) rows, grid-searches the threshold against
-    * the gold duplicates and evaluates the predictions it selects; the
-    * find-all time runs from `t0` to the threshold choice.
+  /** A workflow as one final pass of the AL loop, which labels nothing:
+    * building and collecting the (rid, sid, jac) rows is its retrieval, the
+    * threshold's grid search against the gold duplicates its scoring, and a
+    * pair is a duplicate (probability 1) iff its Jaccard reaches the
+    * threshold.
     */
-  private def evaluate(method: String, ds: ERDataset, scoredDf: DataFrame,
-                       t0: Long): RunResult = {
-    val scored = scoredDf.collect().map(r =>
-      ((r.getInt(r.fieldIndex("rid")), r.getInt(r.fieldIndex("sid"))), r.getDouble(r.fieldIndex("jac"))))
-    val (th, prf) = bestThreshold(scored, ds.dups)
-    val sec = (System.nanoTime() - t0) / 1e9
-    val testPRF = Metrics.testEval(ds.testPairs, predictedAt(scored, th))
-    val recall = Metrics.candRecall(scored.map(_._1), ds.dups)
-    RunResult(method, ds.name,
-      IndexedSeq(RoundStat(1, 0, recall, testPRF.f1, prf.f1)),
-      recall, testPRF, prf, OpTimes(0, 0, 0, 0), sec, 0)
-  }
+  private def run(method: String, ds: ERDataset)(scoredDf: => DataFrame): RunResult =
+    ActiveLearning.run(method, ds, IndexedSeq.empty, rounds = 0, budget = 0) { (_, _) =>
+      val (scored, retrieveSec) = timed(scoredDf.collect().toIndexedSeq.map(r =>
+        ((r.getInt(r.fieldIndex("rid")), r.getInt(r.fieldIndex("sid"))), r.getDouble(r.fieldIndex("jac")))))
+      val (th, scoreSec) = timed(bestThreshold(scored, ds.dups))
+      ActiveLearning.Round(scored.map(_._1), scored.map(p => if (p._2 >= th) 1.0 else 0.0),
+        (_, _) => IndexedSeq.empty, StageTimes(0, 0, retrieveSec, scoreSec))
+    }
 }

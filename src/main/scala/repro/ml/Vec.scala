@@ -32,7 +32,9 @@ object Vec {
   /** Element-wise product. */
   def had(a: Array[Double], b: Array[Double]): Array[Double] = {
     require(a.length == b.length, s"had: ${a.length} vs ${b.length}")
-    Array.tabulate(a.length)(i => a(i) * b(i))
+    val out = new Array[Double](a.length); var i = 0
+    while (i < a.length) { out(i) = a(i) * b(i); i += 1 }
+    out
   }
 
   def l2sq(a: Array[Double]): Double = dot(a, a)

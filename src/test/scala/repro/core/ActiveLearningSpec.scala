@@ -31,11 +31,13 @@ class ActiveLearningSpec extends AnyFunSuite {
     Case(ds, seedPairs.toIndexedSeq.map(p => LabeledPair(p._1, p._2, ds.dups(p))), rounds, budget, strategy, seed)
   }
 
-  /** Runs the loop with the stub round function, recording each call. */
-  private def run(c: Case): (ActiveLearning.Outcome, IndexedSeq[Call]) = {
+  /** Runs the loop with the stub round function, recording each call; the
+    * result is returned without its wall-clock stage times.
+    */
+  private def run(c: Case): (RunResult, IndexedSeq[Call]) = {
     val all = for (r <- c.ds.r.indices; s <- c.ds.s.indices) yield (r, s)
     val calls = IndexedSeq.newBuilder[Call]
-    val out = ActiveLearning.run(c.ds, c.seedT, c.rounds, c.budget) { (t, round) =>
+    val out = ActiveLearning.run("stub", c.ds, c.seedT, c.rounds, c.budget) { (t, round) =>
       val g = new Rnd.Gen(Rnd.combine(c.seed, round))
       val cand = g.sampleDistinct(all.length, g.nextInt(all.length + 1)).toIndexedSeq.map(all)
       val scored = cand.map { case (r, s) => ScoredCand(r, s, g.nextDouble(), g.nextDouble()) }
@@ -45,9 +47,9 @@ class ActiveLearningSpec extends AnyFunSuite {
         gradEmbedding = sc => Array(sc.prob, sc.dist, sc.rId.toDouble, sc.sId.toDouble),
         bootstrapProbs = cs => (1 to 3).map(k => cs.map(sc => (sc.prob * k + sc.dist) % 1.0).toArray))
       ActiveLearning.Round(cand, scored.map(_.prob),
-        (idx, b) => Selectors.select(c.strategy, idx.map(scored), b, ctx))
+        (idx, b) => Selectors.select(c.strategy, idx.map(scored), b, ctx), StageTimes(0, 0, 0, 0))
     }
-    (out, calls.result())
+    (out.copy(stageTimes = IndexedSeq.empty), calls.result())
   }
 
   private def check(prop: Prop): Unit = {
@@ -80,8 +82,8 @@ class ActiveLearningSpec extends AnyFunSuite {
   test("there are rounds + 1 stats numbered 1..n, and the last is the returned outcome") {
     check(Prop.forAllNoShrink(genCase) { c =>
       val (out, calls) = run(c)
-      val last = out.stats.last
-      out.stats.map(_.round) == (1 to c.rounds + 1) && calls.length == c.rounds + 1 &&
+      val last = out.roundStats.last
+      out.roundStats.map(_.round) == (1 to c.rounds + 1) && calls.length == c.rounds + 1 &&
         out.nLabeled == calls.last.t.length && last.nLabeled == out.nLabeled &&
         last.candRecall == out.candRecall && last.testF1 == out.testPRF.f1 && last.allF1 == out.allPRF.f1
     })

@@ -3,12 +3,14 @@ package repro.core
 import repro.SparkSpec
 import repro.data.ERDataGen
 import repro.forest.RfAl
+import repro.jedai.JedaiPipelines
 
-/** Exact outcomes of two small AL runs, pinned as literals: every
-  * `RoundStat`, |T| and the final tp/fp/fn counts, in the benchmark's
-  * fingerprint format. A refactor that moves any bit of a run fails here.
-  * The literals were recorded before the AL loop was shared by `Dial` and
-  * `RfAl`.
+/** Exact outcomes of two small AL runs and of both JedAI workflows, pinned
+  * as literals: every `RoundStat`, |T| and the final tp/fp/fn counts, in the
+  * benchmark's fingerprint format. A refactor that moves any bit of a run
+  * fails here. The AL literals were recorded before the AL loop was shared
+  * by `Dial` and `RfAl`, the JedAI ones before the JedAI workflows ran
+  * through that loop.
   */
 class OutcomePinSpec extends SparkSpec {
   private lazy val wa = ERDataGen.walmartAmazon(scale = 0.08)
@@ -31,5 +33,15 @@ class OutcomePinSpec extends SparkSpec {
     assert(fingerprint(RfAl.run(spark, wa, rounds = 2, budget = 32)) ==
       "1:83:91.30434782608695:100.0:68.85245901639344 2:115:91.30434782608695:100.0:87.5 " +
       "3:147:91.30434782608695:100.0:90.47619047619047 final:147:91.30434782608695:19/0/4:4/0/0")
+  }
+
+  test("the schema-based JedAI workflow repeats its pinned outcome") {
+    assert(fingerprint(JedaiPipelines.schemaBased(spark, wa)) ==
+      "1:0:100.0:85.71428571428571:50.0 final:0:100.0:14/19/9:3/0/1")
+  }
+
+  test("the schema-agnostic JedAI workflow repeats its pinned outcome") {
+    assert(fingerprint(JedaiPipelines.schemaAgnostic(spark, wa)) ==
+      "1:0:100.0:85.71428571428571:42.307692307692314 final:0:100.0:11/18/12:3/0/1")
   }
 }
