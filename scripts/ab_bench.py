@@ -24,9 +24,11 @@ change run reads better than every parent run, and `ok` otherwise. Every
 pair's full metric record goes to BENCH_<name>.json at the root of this
 checkout, beside the summary. A later call with the same name and parent adds
 its workloads to that file, replacing any of the same workload and seed.
-Before exporting, the script exits with a message if sbt's server socket
-path in either checkout could pass the 107-byte limit of a Unix socket path,
-at which every build fails.
+Before exporting, the script exits with a message if `--workdir` is not an
+existing directory, or if sbt's server socket path in either checkout could
+pass the 103 bytes sbt's socket library accepts, at which every build fails.
+It also exits when a benchmark build fails on either side, instead of going
+on with the pairs.
 """
 
 import argparse
@@ -42,9 +44,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # sbt's server socket: <java.io.tmpdir, which dialbench/run.py sets to
 # <checkout>/.bench_build/tmp, or $XDG_RUNTIME_DIR when set>/.sbt/sbt-socket<id>/sbt-load.sock,
-# where <id> is a Java long (at most 20 characters). A Unix socket path holds
-# at most 107 bytes (108 with the terminating NUL).
-SOCKET_PATH_MAX = 107
+# where <id> is a Java long (at most 20 characters). sbt 1.10's socket library,
+# ipcsocket 1.6.2, copies the path into a 104-byte `sun_path` with its NUL
+# (`org.scalasbt.ipcsocket.UnixDomainSocketLibrary$SockaddrUn`) and throws
+# "Cannot fit name ... in maximum unix domain socket length" past 103 bytes.
+SOCKET_PATH_MAX = 103
 SOCKET_ID_MAX = 20
 
 
@@ -71,20 +75,24 @@ def check_socket_path(checkout):
     path = str(Path(base, ".sbt", "sbt-socket" + "N" * SOCKET_ID_MAX, "sbt-load.sock"))
     if len(path.encode()) > SOCKET_PATH_MAX:
         sys.exit(f"sbt's server socket path for {checkout} can reach {len(path.encode())} bytes "
-                 f"({path}, N = the digits of its id), over the {SOCKET_PATH_MAX}-byte limit of a "
-                 f"Unix socket path (108 bytes with the terminating NUL); every build there would "
-                 f"fail. Use a shorter --workdir or checkout path.")
+                 f"({path}, N = the digits of its id), over the {SOCKET_PATH_MAX} bytes sbt's "
+                 f"socket library accepts; every build there would fail. Use a shorter --workdir "
+                 f"or checkout path.")
 
 
 def bench(checkout, workload, seed, seconds):
-    """One run of the benchmark in `checkout`; the metrics by name, or None on failure."""
+    """One run of the benchmark in `checkout`; the metrics by name, or None on
+    failure. Exits when the benchmark's build fails, which no later run mends."""
     cmd = [sys.executable, "dialbench/run.py", "--workload", workload, "--seconds", str(seconds)]
     if seed is not None:
         cmd += ["--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        log(f"run failed in {checkout} (exit {proc.returncode}): {proc.stderr.strip()[-400:]}")
+        err = proc.stderr.strip()
+        if err.rsplit("\n", 1)[-1].startswith("build failed"):
+            sys.exit(f"the benchmark build failed in {checkout}: {err[-400:]}")
+        log(f"run failed in {checkout} (exit {proc.returncode}): {err[-400:]}")
         return None
     result = json.loads(lines[-1])
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
@@ -188,6 +196,8 @@ def main():
     ap.add_argument("--seconds", type=float, default=45.0)
     ap.add_argument("--workdir", help="where the parent checkout goes (default: a new temporary directory)")
     args = ap.parse_args()
+    if args.workdir is not None and not Path(args.workdir).is_dir():
+        sys.exit(f"--workdir {args.workdir} is not an existing directory")
 
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,

@@ -21,11 +21,11 @@ case object LabeledNegs extends NegMode
   * `[j*(d+1), (j+1)*(d+1))`, last column is the bias.
   *
   * The mask is 0/1, so `M_k ⊙ E(x)` only selects columns of U: `encode` and
-  * `backprop` sum over the retained dimensions alone. A skipped term would
-  * have been `u·0·e = ±0` (inputs are finite: `recordVec` and tanh make
-  * them so), which leaves every sum as it is, up to the sign of an exact
-  * zero that no use of the output can see: each use squares it, takes its
-  * absolute value or multiplies it.
+  * the training kernel ([[MemberKernel]]) sum over the retained dimensions
+  * alone. A skipped term would have been `u·0·e = ±0` (inputs are finite:
+  * `recordVec` and tanh make them so), which leaves every sum as it is, up
+  * to the sign of an exact zero that no use of the output can see: each use
+  * squares it, takes its absolute value or multiplies it.
   */
 final class Member(val d: Int, val mask: Array[Double], val u: Array[Double]) {
   require(mask.length == d && u.length == d * (d + 1), "member shape mismatch")
@@ -63,20 +63,6 @@ final class Member(val d: Int, val mask: Array[Double], val u: Array[Double]) {
       j += 1
     }
     out
-  }
-
-  /** Accumulate dL/dU into `gU` given the input `e`, the forward output
-    * `out = encode(e)` and the output gradient `dOut`: one record through
-    * the training kernel. Masked columns of `gU` get no gradient.
-    */
-  def backprop(e: Array[Double], out: Array[Double], dOut: Array[Double],
-               gU: Array[Double]): Unit = {
-    val k = new MemberKernel(this, 1)
-    k.add(e)
-    System.arraycopy(out, 0, k.out(0), 0, d)
-    System.arraycopy(dOut, 0, k.dOut(0), 0, d)
-    k.backward(1.0)
-    Vec.axpyI(gU, 1.0, k.gU)
   }
 }
 
@@ -263,33 +249,23 @@ object Committee {
   /** Train every member on duplicate pairs `pos` (embeddings are the frozen
     * matcher-adapted E_Θ(x)); negatives are drawn per `cfg.negMode` from the
     * full lists (`rPool`, `sPool`) or from the actively-labeled negatives.
-    * Returns the mean loss of the final epoch (for tests/monitoring).
+    * Returns the mean loss of the final epoch and each member's
+    * classification head (empty unless `cfg.objective` is Classification).
     *
-    * The members train concurrently (see [[trainWithHeads]]); the result does
-    * not depend on the number of threads.
-    */
-  def train(c: Committee, cfg: TrainConfig,
-            pos: IndexedSeq[(Array[Double], Array[Double])],
-            rPool: IndexedSeq[Array[Double]], sPool: IndexedSeq[Array[Double]],
-            labeledNegs: IndexedSeq[(Array[Double], Array[Double])],
-            rng: Rnd.Gen): Double =
-    trainWithHeads(c, cfg, pos, rPool, sPool, labeledNegs, rng)._1
-
-  /** [[train]], also returning each member's classification head (empty
-    * unless `cfg.objective` is Classification).
-    *
-    * Every draw from `rng` is taken up front as index arrays, in the order a
-    * member-after-member loop would take them: per step, the epoch's
-    * permutation (first step only), the shared negative draw (paper §3.2.2),
-    * then each member's own shuffles of it. None of them reads member state,
-    * so each member then runs its whole step sequence, with its own optimiser,
-    * as an independent task. The loss is summed afterwards in (step, member)
-    * order, so the result is bit-identical to the sequential loop.
+    * The members train concurrently; the result does not depend on the
+    * number of threads. Every draw from `rng` is taken up front as index
+    * arrays, in the order a member-after-member loop would take them: per
+    * step, the epoch's permutation (first step only), the shared negative
+    * draw (paper §3.2.2), then each member's own shuffles of it. None of
+    * them reads member state, so each member then runs its whole step
+    * sequence, with its own optimiser, as an independent task. The loss is
+    * summed afterwards in (step, member) order, so the result is
+    * bit-identical to the sequential loop.
     *
     * Each member trains through a [[MemberKernel]]: every step loads its
     * records straight from those index arrays.
     */
-  private[core] def trainWithHeads(c: Committee, cfg: TrainConfig,
+  def train(c: Committee, cfg: TrainConfig,
             pos: IndexedSeq[(Array[Double], Array[Double])],
             rPool: IndexedSeq[Array[Double]], sPool: IndexedSeq[Array[Double]],
             labeledNegs: IndexedSeq[(Array[Double], Array[Double])],
@@ -359,7 +335,7 @@ object Committee {
           case LabeledNegs =>
             (i => labeledNegs(drawn(i))._1, i => labeledNegs(drawn(i))._2)
         }
-        val loss = lossGrad(kernel, cfg.objective, Margin, head, gHead,
+        val loss = lossGrad(kernel, cfg.objective, head, gHead,
                             b, p => pos(order(off + p))._1, p => pos(order(off + p))._2, b, negR, negS)
         if (cfg.objective == Classification) headAdam.step(head, gHead)
         adam.step(member.u, kernel.gU)
@@ -386,7 +362,7 @@ object Committee {
     * Classification, the mean dLoss/dhead in `gHead`). Returns the mean
     * loss. The training loop and [[batchLossGrad]] both run through here.
     */
-  private def lossGrad(k: MemberKernel, objective: Objective, margin: Double,
+  private def lossGrad(k: MemberKernel, objective: Objective,
                        head: Array[Double], gHead: Array[Double],
                        nPos: Int, posR: Int => Array[Double], posS: Int => Array[Double],
                        nNeg: Int, negR: Int => Array[Double], negS: Int => Array[Double]): Double = {
@@ -406,7 +382,7 @@ object Committee {
     k.forward()
     objective match {
       case Contrastive => contrastive(k, nPos, nNeg)
-      case Triplet => triplet(k, nPos, margin)
+      case Triplet => triplet(k, nPos)
       case Classification => classification(k, head, gHead, nPos, nNeg)
     }
   }
@@ -501,9 +477,9 @@ object Committee {
 
   /** Triplet loss (Table 5 ablation; euclidean distance, one negative per
     * anchor, no mining) over records rp = 4p, sp = 4p + 1, rn = 4p + 2,
-    * sn = 4p + 3.
+    * sn = 4p + 3, with margin [[Margin]].
     */
-  private def triplet(k: MemberKernel, b: Int, margin: Double): Double = {
+  private def triplet(k: MemberKernel, b: Int): Double = {
     val out = k.out; val g = k.dOut
     def dist(u: Array[Double], v: Array[Double]): Double = math.sqrt(Vec.distSq(u, v))
     def addDistGrad(wt: Double, u: Array[Double], v: Array[Double],
@@ -522,13 +498,13 @@ object Committee {
       val rp = out(4 * p); val sp = out(4 * p + 1); val rn = out(4 * p + 2); val sn = out(4 * p + 3)
       val dRp = g(4 * p); val dSp = g(4 * p + 1); val dRn = g(4 * p + 2); val dSn = g(4 * p + 3)
       val dPos = dist(rp, sp)
-      val t1 = dPos - dist(rp, sn) + margin
+      val t1 = dPos - dist(rp, sn) + Margin
       if (t1 > 0) {
         total += t1
         addDistGrad(1.0, rp, sp, dRp, dSp)
         addDistGrad(-1.0, rp, sn, dRp, dSn)
       }
-      val t2 = dPos - dist(sp, rn) + margin
+      val t2 = dPos - dist(sp, rn) + Margin
       if (t2 > 0) {
         total += t2
         addDistGrad(1.0, sp, rp, dSp, dRp)
@@ -590,11 +566,11 @@ object Committee {
 
   /** One batch given as sequences, through [[lossGrad]] on a fresh kernel:
     * (mean loss, dLoss/dU, dLoss/dhead). `head` is read by Classification
-    * only and `margin` by Contrastive and Triplet; a Triplet positive p takes
-    * the negatives at p mod their count. Package-private so the test suite
-    * can finite-difference check the training step's gradients (Eqs. 6–8).
+    * only; a Triplet positive p takes the negatives at p mod their count.
+    * Package-private so the test suite can finite-difference check the
+    * training step's gradients (Eqs. 6–8).
     */
-  private[core] def batchLossGrad(m: Member, objective: Objective, margin: Double, head: Array[Double],
+  private[core] def batchLossGrad(m: Member, objective: Objective, head: Array[Double],
                                   pos: IndexedSeq[(Array[Double], Array[Double])],
                                   negR: IndexedSeq[Array[Double]],
                                   negS: IndexedSeq[Array[Double]]): (Double, Array[Double], Array[Double]) = {
@@ -602,7 +578,7 @@ object Committee {
     // room for any objective: 2 records per positive, and 2 per negative or per positive
     val k = new MemberKernel(m, 2 * pos.length + 2 * math.max(pos.length, negR.length))
     val gHead = new Array[Double](head.length)
-    val loss = lossGrad(k, objective, margin, head, gHead,
+    val loss = lossGrad(k, objective, head, gHead,
                         pos.length, pos(_)._1, pos(_)._2, negR.length, negR, negS)
     (loss, k.gU, gHead)
   }

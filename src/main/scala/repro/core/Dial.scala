@@ -19,7 +19,9 @@ case object SentenceBertMode extends BlockerMode { val name = "SentenceBERT" }
 case object RulesMode extends BlockerMode { val name = "Rules" }
 
 /** Full configuration of one AL run. Defaults follow the paper (§4.2),
-  * rescaled to container size per DESIGN.md §4.
+  * rescaled to container size per DESIGN.md §4 and §4b; the AL schedule,
+  * 4 labeling rounds of 192 labels (paper 10 × 128), is the one every table
+  * runs.
   */
 final case class DialConfig(
     blockerMode: BlockerMode = IbcMode,
@@ -28,7 +30,7 @@ final case class DialConfig(
     k: Int = 3,
     candMult: Double = 3.0,
     rounds: Int = 4,
-    budget: Int = 128,
+    budget: Int = 192,
     seedPos: Int = 64,
     seedNeg: Int = 64,
     objective: Objective = Contrastive,
@@ -57,7 +59,6 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
   val emb: HashEmbedding = embedder.emb
   val candSize: Int = math.round(cfg.candMult * ds.s.size).toInt
   private val d = cfg.embedDim
-  private val rng = new Rnd.Gen(Rnd.combine(cfg.seed, Rnd.hash64(ds.name)))
 
   /** Pair-feature profiles of R then S, indexed like the base embeddings.
     * They belong to this run: built on first use, dropped with the `Dial`.
@@ -83,10 +84,13 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
 
   /** Initial labeled seed T: `seedPos` duplicates and `seedNeg` negatives
     * sampled outside the test split. For the multilingual dataset the seed
-    * is built by probing a pretrained-embedding index, as in §4.5.
+    * is built by probing a pretrained-embedding index, as in §4.5. Every
+    * call draws from a fresh generator, so T is a function of the config
+    * seed and the dataset.
     */
   def seedSet(): IndexedSeq[LabeledPair] = {
-    if (ds.germanToEnglish.nonEmpty) return multilingualSeed()
+    val rng = new Rnd.Gen(Rnd.combine(cfg.seed, Rnd.hash64(ds.name)))
+    if (ds.germanToEnglish.nonEmpty) return multilingualSeed(rng)
     val dupSeq = ds.dups.toIndexedSeq.sorted.filterNot(ds.testSet.contains)
     val pos = rng.sampleDistinct(dupSeq.length, math.min(cfg.seedPos, dupSeq.length))
       .map(dupSeq).map { case (a, b) => LabeledPair(a, b, y = true) }
@@ -116,7 +120,7 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
   /** §4.5 seed construction: probe a pretrained-embedding index with every s,
     * split retrieved pairs by gold, sample 50/50.
     */
-  private def multilingualSeed(): IndexedSeq[LabeledPair] = {
+  private def multilingualSeed(rng: Rnd.Gen): IndexedSeq[LabeledPair] = {
     val views = IndexedSeq(new PlainView)
     val hits = NnIndex.probe(embedder.sBase, views, Blocker.buildIndexes(embedder.rBase, views), 3)
     val retrieved = hits.indices.flatMap { sId =>
@@ -151,13 +155,14 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
                              tc: Committee.TrainConfig): IndexedSeq[EmbView] = {
     val com = Committee.init(n, d, maskP, Rnd.combine(cfg.seed, initSeed + round))
     val g = matcher.g
-    val pos = t.filter(_.y).map(lp => (embedder.adaptedR(lp.rId, g), embedder.adaptedS(lp.sId, g)))
-    val negs = t.filterNot(_.y).map(lp => (embedder.adaptedR(lp.rId, g), embedder.adaptedS(lp.sId, g)))
-    // only random negatives are drawn from the full lists
-    val (rPool, sPool) =
-      if (tc.negMode != RandomNegs) (IndexedSeq.empty, IndexedSeq.empty)
-      else (ds.r.indices.map(embedder.adaptedR(_, g)), ds.s.indices.map(embedder.adaptedS(_, g)))
-    Committee.train(com, tc, pos, rPool, sPool, negs,
+    def adapted(lp: LabeledPair) = (embedder.adaptedR(lp.rId, g), embedder.adaptedS(lp.sId, g))
+    // random negatives are drawn from the full lists, labeled ones from T;
+    // training reads only the mode's own negatives
+    val (rPool, sPool, negs) =
+      if (tc.negMode == RandomNegs)
+        (ds.r.indices.map(embedder.adaptedR(_, g)), ds.s.indices.map(embedder.adaptedS(_, g)), IndexedSeq.empty)
+      else (IndexedSeq.empty, IndexedSeq.empty, t.filterNot(_.y).map(adapted))
+    Committee.train(com, tc, t.filter(_.y).map(adapted), rPool, sPool, negs,
       new Rnd.Gen(Rnd.combine(cfg.seed, trainSeed + round)))
     com.members.map(m => new MemberView(g, m))
   }
@@ -199,15 +204,15 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
   // -------------------------------------------------------------- scoring
 
   /** Matcher probabilities of CAND, in CAND order, with each pair's
-    * features for the selectors, and the seconds they took; the pairs are
-    * scored concurrently outside Spark, from the profiles and base embeddings.
+    * features for the selectors; the pairs are scored concurrently outside
+    * Spark, from the profiles and base embeddings.
     */
-  private[core] def scoreCand(matcher: Matcher, cand: IndexedSeq[CandPair]): (IndexedSeq[(ScoredCand, Array[Double])], Double) =
-    timed(Par.tabulate(cand.size) { i =>
+  private[core] def scoreCand(matcher: Matcher, cand: IndexedSeq[CandPair]): IndexedSeq[(ScoredCand, Array[Double])] =
+    Par.tabulate(cand.size) { i =>
       val c = cand(i)
       val x = scalars(c.rId, c.sId)
       (ScoredCand(c.rId, c.sId, c.dist, matcher.prob(embedder.rBase(c.rId), embedder.sBase(c.sId), x)), x)
-    })
+    }
 
   // ------------------------------------------------------------ selection
 
@@ -242,7 +247,7 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
       val ((tEx, matcher), matcherSec) = timed(trainMatcher(t, round))
       val (views, committeeSec) = timed(blockerViews(t, matcher, round))
       val (cand, retrieveSec) = if (views.isEmpty) fixedCand else timed(retrieve(views))
-      val (scored, scoreSec) = scoreCand(matcher, cand)
+      val (scored, scoreSec) = timed(scoreCand(matcher, cand))
       ActiveLearning.Round(cand.map(c => (c.rId, c.sId)), scored.map(_._1.prob), (idx, budget) => {
         val selectable = idx.map(scored)
         Selectors.select(cfg.selector, selectable.map(_._1), budget,

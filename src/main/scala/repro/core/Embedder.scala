@@ -12,8 +12,6 @@ import repro.text.HashEmbedding
   * transformer's single-mode embeddings, with Θ frozen).
   */
 final class Embedder(val emb: HashEmbedding, val ds: ERDataset) {
-  val d: Int = emb.d
-
   /** Base (pretrained) embeddings, indexed by record id. */
   val rBase: Array[Array[Double]] = ds.r.map(rec => emb.recordVec(rec.attrs)).toArray
   val sBase: Array[Array[Double]] = ds.s.map(rec => emb.recordVec(rec.attrs)).toArray

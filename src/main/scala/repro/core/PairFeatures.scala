@@ -28,13 +28,6 @@ import scala.collection.mutable
 object PairFeatures {
   val nScalar = 7
 
-  /** Featurizer with no corpus statistics (uniform IDF). */
-  val plain = new PairFeaturizer(Map.empty)
-
-  /** Convenience for tests and corpus-less callers. */
-  def scalars(rAttrs: Seq[String], sAttrs: Seq[String]): Array[Double] =
-    plain.scalars(rAttrs, sAttrs)
-
   /** Build IDF weights log(1 + N/df) from a corpus of records' token sets. */
   def idfFrom(tokenSets: Iterable[Set[String]]): Map[String, Double] = {
     val df = mutable.HashMap.empty[String, Int]

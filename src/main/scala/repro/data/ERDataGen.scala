@@ -41,14 +41,6 @@ final case class ERDataset(
 
   def rDF(spark: SparkSession): DataFrame = toDF(spark, r)
   def sDF(spark: SparkSession): DataFrame = toDF(spark, s)
-
-  def dupsDF(spark: SparkSession): DataFrame = {
-    val rows = dups.toSeq.sorted.map { case (a, b) => Row(a, b) }
-    spark.createDataFrame(
-      spark.sparkContext.parallelize(rows, 1),
-      StructType(Array(StructField("rid", IntegerType, nullable = false),
-                       StructField("sid", IntegerType, nullable = false))))
-  }
 }
 
 /** Generators for the six evaluation datasets of the DIAL paper, scaled to

@@ -1,5 +1,6 @@
 package repro.exp
 
+import java.util.IdentityHashMap
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.data.{ERDataGen, ERDataset}
@@ -13,36 +14,35 @@ import scala.collection.mutable
   * memoized so rows shared across tables (e.g. Table 2's DIAL = Table 4's
   * "Random" = Table 5's "Contrastive") are computed once per JVM.
   *
-  * Env knobs: REPRO_SCALE (dataset scale, default 1.0 of the DESIGN.md §4
-  * sizes), REPRO_ROUNDS (AL labeling rounds, default 4; paper 10),
-  * REPRO_BUDGET (labels per round, default 192; paper 128 — a larger
-  * per-round budget compensates the reduced round count so the total label
-  * volume stays comparable to the paper's 1344).
+  * Every AL method runs [[DialConfig]]'s schedule (4 rounds × 192 labels).
+  * Env knob: REPRO_SCALE (dataset scale, default 1.0 of the DESIGN.md §4
+  * sizes).
   */
 object Experiments {
 
   val scale: Double = sys.env.getOrElse("REPRO_SCALE", "1.0").toDouble
-  val rounds: Int = sys.env.getOrElse("REPRO_ROUNDS", "4").toInt
-  val budget: Int = sys.env.getOrElse("REPRO_BUDGET", "192").toInt
 
   lazy val benchmarks: IndexedSeq[ERDataset] = ERDataGen.benchmarks(scale)
   lazy val multilingual: ERDataset = ERDataGen.multilingualDefault(scale = scale)
 
   /** Paper §4.2: Abt-Buy uses k = 20 and CAND = 20·|S| (its S is tiny). */
   def cfgFor(ds: ERDataset): DialConfig = {
-    val base = DialConfig(rounds = rounds, budget = budget)
+    val base = DialConfig()
     val k = if (ds.name == "Abt-Buy") base.copy(k = 20, candMult = 20.0) else base
     if (ds.name == "MultiLingual") k.copy(trainG = false) else k
   }
 
   // ------------------------------------------------------------ run cache
 
-  private val cache = mutable.HashMap.empty[String, RunResult]
+  /** Keyed on the dataset instance, then the config, like `Dial`'s memos:
+    * two generated datasets of equal name and sizes (e.g. two seeds at one
+    * scale) hold different records.
+    */
+  private val cache = new IdentityHashMap[ERDataset, mutable.HashMap[DialConfig, RunResult]]
 
   def dialRun(spark: SparkSession, ds: ERDataset, cfg: DialConfig): RunResult = synchronized {
-    val key = s"${ds.name}/${ds.r.size}x${ds.s.size}/$cfg"
-    cache.getOrElseUpdate(key, {
-      Console.err.println(s"[exp] running ${cfg.blockerMode.name} on ${ds.name} ($key)")
+    cache.computeIfAbsent(ds, _ => mutable.HashMap.empty).getOrElseUpdate(cfg, {
+      Console.err.println(s"[exp] running ${cfg.blockerMode.name} on ${ds.name} ($cfg)")
       new Dial(spark, ds, cfg).run()
     })
   }
@@ -73,7 +73,7 @@ object Experiments {
         val p = PaperNumbers.table2(r.method)(key)
         rows += f"${ds.name}%-16s ${r.method}%-22s ${fmt(r.allPRF.p)} ${fmt(r.allPRF.r)} ${fmt(r.allPRF.f1)} ${fmtT(r.findAllSec)} |       ${fmt(p._1)} ${fmt(p._2)} ${fmt(p._3)} ${fmtT(p._4)}"
       }
-      row(RfAl.run(spark, ds, rounds, budget))
+      row(RfAl.run(spark, ds))
       row(JedaiPipelines.schemaBased(spark, ds))
       row(JedaiPipelines.schemaAgnostic(spark, ds))
       IndexedSeq(SentenceBertMode, PairedFixedMode, PairedAdaptMode, RulesMode, IbcMode).foreach { mode =>

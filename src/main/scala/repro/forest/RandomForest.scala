@@ -10,21 +10,14 @@ import repro.util.Rnd
 final class RandomForest(val trees: IndexedSeq[TreeNode]) {
 
   /** Fraction of trees voting duplicate — both the prediction probability
-    * and the committee's #match/m for variance-based selection.
+    * and the committee's #match/m, whose p(1 − p) is the QBC variance
+    * (Mozafari et al.) that [[RfAl]] ranks by.
     */
   def voteFraction(x: Array[Double]): Double = {
     var votes = 0
     trees.foreach(t => if (DecisionTree.predict(t, x) > 0.5) votes += 1)
     votes.toDouble / trees.length
   }
-
-  /** QBC variance (Mozafari et al.): p(1 − p) with p = #match/m. */
-  def variance(x: Array[Double]): Double = {
-    val p = voteFraction(x)
-    p * (1.0 - p)
-  }
-
-  def predict(x: Array[Double]): Boolean = voteFraction(x) > 0.5
 }
 
 object RandomForest {

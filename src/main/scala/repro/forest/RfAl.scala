@@ -19,8 +19,11 @@ object RfAl {
   /** Seed of the seed set and of every forest. */
   private[forest] val Seed = 7L
 
+  /** A run under the AL schedule of `rounds` × `budget` labels, by default
+    * [[DialConfig]]'s, the one every table runs.
+    */
   def run(spark: SparkSession, ds: ERDataset,
-          rounds: Int = 4, budget: Int = 128): RunResult = {
+          rounds: Int = DialConfig().rounds, budget: Int = DialConfig().budget): RunResult = {
     val seedSet = new Dial(spark, ds, DialConfig(seed = Seed)).seedSet() // DIAL's seed-set sampler
     val cand = Dial.rulesFor(spark, ds)
 

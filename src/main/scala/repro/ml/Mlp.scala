@@ -65,9 +65,6 @@ final class Mlp(val nIn: Int, val nHidden: Int, seed: Long) extends Serializable
     h
   }
 
-  /** Raw score F_W(x) (pre-sigmoid logit). */
-  def score(x: Array[Double]): Double = outLogit(hidden(x))
-
   /** The output layer's logit w2 · h + b2 over hidden activations `h`. */
   def outLogit(h: Array[Double]): Double = {
     var s = 0.0; var j = 0
@@ -75,21 +72,17 @@ final class Mlp(val nIn: Int, val nHidden: Int, seed: Long) extends Serializable
     s + params(b2Off)
   }
 
-  /** Pr(y = 1 | x) per paper Eq. 5. */
-  def prob(x: Array[Double]): Double = Mlp.sigmoid(score(x))
+  /** Pr(y = 1 | x) per paper Eq. 5: the sigmoid of the raw score F_W(x). */
+  def prob(x: Array[Double]): Double = Mlp.sigmoid(outLogit(hidden(x)))
 
-  /** Backprop for binary cross-entropy at a single example.
+  /** Backprop for binary cross-entropy at a single example, given its
+    * hidden activations `h = hidden(x)`.
     *
     * Accumulates parameter gradients into `gFlat` (layout of `params`) and
     * returns the gradient w.r.t. the input x (needed to fine-tune the
-    * simulated-TPLM scale g upstream). `y` is the 0/1 label.
-    */
-  def backprop(x: Array[Double], y: Double, gFlat: Array[Double]): Array[Double] =
-    backprop(x, hidden(x), y, gFlat)
-
-  /** [[backprop]] given the example's hidden activations `h = hidden(x)`.
-    * The input gradient sums over the hidden units in order, four units per
-    * pass over the input.
+    * simulated-TPLM scale g upstream). `y` is the 0/1 label. The input
+    * gradient sums over the hidden units in order, four units per pass over
+    * the input.
     */
   def backprop(x: Array[Double], h: Array[Double], y: Double, gFlat: Array[Double]): Array[Double] = {
     val p = Mlp.sigmoid(outLogit(h))

@@ -48,12 +48,4 @@ object Vec {
     while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
     s
   }
-
-  def mean(vs: Seq[Array[Double]]): Array[Double] = {
-    require(vs.nonEmpty, "mean of empty set")
-    val r = zeros(vs.head.length)
-    vs.foreach(v => axpyI(r, 1.0, v))
-    scaleI(r, 1.0 / vs.size)
-    r
-  }
 }

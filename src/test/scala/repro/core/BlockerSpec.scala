@@ -73,7 +73,7 @@ class BlockerSpec extends SparkSpec {
   private lazy val embedder = Dial.embedderFor(ds, 32)
 
   test("PairFeatures scalars are bounded similarity values") {
-    val s = PairFeatures.scalars(Seq("a b c"), Seq("a b d"))
+    val s = new PairFeaturizer(Map.empty).scalars(Seq("a b c"), Seq("a b d"))
     assert(s.length == PairFeatures.nScalar)
     assert(s.forall(v => v >= 0.0 && v <= 1.0))
     assert(s(0) == 0.5) // token jaccard {a,b,c} vs {a,b,d}
@@ -203,7 +203,7 @@ class BlockerSpec extends SparkSpec {
       val data = gen()
       val e = Dial.embedderFor(data, 64)
       val candSize = 3 * data.s.size
-      viewSets(e.d).foreach { case (what, specs) =>
+      viewSets(e.emb.d).foreach { case (what, specs) =>
         val views = specs.map(_.view)
         val driver = Blocker.retrieveCand(e.sBase, views, Blocker.buildIndexes(e.rBase, views), 3, candSize)
         val reference = SparkCandReference.cand(spark, data, e.emb, e.rBase, specs, 3, candSize)

@@ -54,24 +54,6 @@ class CommitteeSpec extends AnyFunSuite {
     assert(m.encode(e1).toSeq == m.encode(e2).toSeq)
   }
 
-  test("member backprop matches finite differences") {
-    val m = Committee.init(1, d, 0.7, seed = 8).members.head
-    val e = vec()
-    val dOut = vec() // gradient of an arbitrary linear functional J = dOut . encode(e)
-    val gU = Vec.zeros(m.u.length)
-    m.backprop(e, m.encode(e), dOut, gU)
-    val h = 1e-6
-    val idxs = Seq(0, d, d + 1, m.u.length - 1, m.u.length / 2)
-    idxs.foreach { i =>
-      val orig = m.u(i)
-      m.u(i) = orig + h; val jp = Vec.dot(dOut, m.encode(e))
-      m.u(i) = orig - h; val jm = Vec.dot(dOut, m.encode(e))
-      m.u(i) = orig
-      val num = (jp - jm) / (2 * h)
-      assert(math.abs(gU(i) - num) < 1e-4, s"u[$i]: ${gU(i)} vs $num")
-    }
-  }
-
   private def fdCheckU(m: Member, loss: () => Double, analytic: Array[Double],
                        probes: Seq[Int], tol: Double = 2e-4): Unit = {
     val h = 1e-5
@@ -90,8 +72,8 @@ class CommitteeSpec extends AnyFunSuite {
     val pos = IndexedSeq((vec(), vec()), (vec(), vec()))
     val negR = IndexedSeq(vec(), vec(), vec())
     val negS = IndexedSeq(vec(), vec(), vec())
-    val (_, gU, _) = Committee.batchLossGrad(m, Contrastive, Committee.Margin, Array.emptyDoubleArray, pos, negR, negS)
-    fdCheckU(m, () => Committee.batchLossGrad(m, Contrastive, Committee.Margin, Array.emptyDoubleArray, pos, negR, negS)._1, gU,
+    val (_, gU, _) = Committee.batchLossGrad(m, Contrastive, Array.emptyDoubleArray, pos, negR, negS)
+    fdCheckU(m, () => Committee.batchLossGrad(m, Contrastive, Array.emptyDoubleArray, pos, negR, negS)._1, gU,
              Seq(0, 1, d, d + 1, 2 * d + 3, m.u.length - 1))
   }
 
@@ -100,8 +82,8 @@ class CommitteeSpec extends AnyFunSuite {
     val pos = IndexedSeq((vec(), vec()), (vec(), vec()))
     val negR = IndexedSeq(vec(), vec())
     val negS = IndexedSeq(vec(), vec())
-    val (_, gU, _) = Committee.batchLossGrad(m, Triplet, 1.0, Array.emptyDoubleArray, pos, negR, negS)
-    fdCheckU(m, () => Committee.batchLossGrad(m, Triplet, 1.0, Array.emptyDoubleArray, pos, negR, negS)._1, gU,
+    val (_, gU, _) = Committee.batchLossGrad(m, Triplet, Array.emptyDoubleArray, pos, negR, negS)
+    fdCheckU(m, () => Committee.batchLossGrad(m, Triplet, Array.emptyDoubleArray, pos, negR, negS)._1, gU,
              Seq(0, d - 1, d, 3 * d, m.u.length - 1))
   }
 
@@ -112,14 +94,14 @@ class CommitteeSpec extends AnyFunSuite {
     val pos = IndexedSeq((vec(), vec()))
     val negR = IndexedSeq(vec(), vec())
     val negS = IndexedSeq(vec(), vec())
-    val (_, gU, gHead) = Committee.batchLossGrad(m, Classification, Committee.Margin, head, pos, negR, negS)
-    fdCheckU(m, () => Committee.batchLossGrad(m, Classification, Committee.Margin, head, pos, negR, negS)._1, gU,
+    val (_, gU, gHead) = Committee.batchLossGrad(m, Classification, head, pos, negR, negS)
+    fdCheckU(m, () => Committee.batchLossGrad(m, Classification, head, pos, negR, negS)._1, gU,
              Seq(0, d, 2 * d + 1, m.u.length - 1))
     val h = 1e-5
     Seq(0, d, 3 * d).foreach { i =>
       val orig = head(i)
-      head(i) = orig + h; val lp = Committee.batchLossGrad(m, Classification, Committee.Margin, head, pos, negR, negS)._1
-      head(i) = orig - h; val lm = Committee.batchLossGrad(m, Classification, Committee.Margin, head, pos, negR, negS)._1
+      head(i) = orig + h; val lp = Committee.batchLossGrad(m, Classification, head, pos, negR, negS)._1
+      head(i) = orig - h; val lm = Committee.batchLossGrad(m, Classification, head, pos, negR, negS)._1
       head(i) = orig
       val num = (lp - lm) / (2 * h)
       assert(math.abs(gHead(i) - num) < 2e-4, s"head[$i]: ${gHead(i)} vs $num")
@@ -163,10 +145,10 @@ class CommitteeSpec extends AnyFunSuite {
   test("training reduces the contrastive loss") {
     val (pos, rPool, sPool) = world(16, 30)
     val com = Committee.init(2, d, 0.8, seed = 31)
-    val l1 = Committee.train(com, Committee.TrainConfig(epochs = 2),
-                             pos, rPool, sPool, IndexedSeq.empty, new Rnd.Gen(32))
-    val l2 = Committee.train(com, Committee.TrainConfig(epochs = 30),
-                             pos, rPool, sPool, IndexedSeq.empty, new Rnd.Gen(33))
+    val (l1, _) = Committee.train(com, Committee.TrainConfig(epochs = 2),
+                                  pos, rPool, sPool, IndexedSeq.empty, new Rnd.Gen(32))
+    val (l2, _) = Committee.train(com, Committee.TrainConfig(epochs = 30),
+                                  pos, rPool, sPool, IndexedSeq.empty, new Rnd.Gen(33))
     assert(l2 < l1, s"loss did not decrease: $l1 -> $l2")
   }
 
@@ -192,8 +174,8 @@ class CommitteeSpec extends AnyFunSuite {
     val negs = rPool.zip(sPool).take(8)
     Seq(Contrastive, Triplet, Classification).foreach { obj =>
       val com = Committee.init(2, d, 0.7, seed = 61)
-      val loss = Committee.train(com, Committee.TrainConfig(objective = obj, epochs = 3),
-                                 pos, rPool, sPool, negs, new Rnd.Gen(62))
+      val (loss, _) = Committee.train(com, Committee.TrainConfig(objective = obj, epochs = 3),
+                                      pos, rPool, sPool, negs, new Rnd.Gen(62))
       assert(!loss.isNaN && !loss.isInfinite, s"$obj produced $loss")
     }
   }

@@ -95,7 +95,7 @@ class DialIntegrationSpec extends SparkSpec {
     val onSpark = SparkKnn.scorePairs(spark, candDf, ds.r.map(x => x.id -> x.attrs).toMap,
         ds.s.map(x => x.id -> x.attrs).toMap, new MatcherScorer(dial.emb, featurizer, matcher))
       .collect().map(r => (r.getInt(0), r.getInt(1)) -> r.getDouble(2)).toMap
-    val (onDriver, _) = dial.scoreCand(matcher, cand)
+    val onDriver = dial.scoreCand(matcher, cand)
     assert(cand.nonEmpty && onDriver.length == cand.length && onSpark.size == cand.length)
     onDriver.zip(cand).foreach { case ((sc, _), c) =>
       assert((sc.rId, sc.sId, sc.dist) == (c.rId, c.sId, c.dist))

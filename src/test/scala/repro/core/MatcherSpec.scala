@@ -40,9 +40,9 @@ class MatcherSpec extends AnyFunSuite {
     (0 until d).foreach { i =>
       val orig = m.g(i)
       m.g(i) = orig + h
-      val lp = Mlp.bceFromLogit(m.mlp.score(m.features(ex.er, ex.es, ex.scalars)), 1.0)
+      val lp = Mlp.bceFromLogit(m.mlp.outLogit(m.mlp.hidden(m.features(ex.er, ex.es, ex.scalars))), 1.0)
       m.g(i) = orig - h
-      val lm = Mlp.bceFromLogit(m.mlp.score(m.features(ex.er, ex.es, ex.scalars)), 1.0)
+      val lm = Mlp.bceFromLogit(m.mlp.outLogit(m.mlp.hidden(m.features(ex.er, ex.es, ex.scalars))), 1.0)
       m.g(i) = orig
       val num = (lp - lm) / (2 * h)
       assert(math.abs(gG(i) - num) < 1e-4, s"g[$i]: ${gG(i)} vs $num")
@@ -63,9 +63,9 @@ class MatcherSpec extends AnyFunSuite {
       params.indices.foreach { i =>
         val w = params(i)
         params(i) = w + h
-        val lp = Mlp.bceFromLogit(m.mlp.score(x), 0.0)
+        val lp = Mlp.bceFromLogit(m.mlp.outLogit(m.mlp.hidden(x)), 0.0)
         params(i) = w - h
-        val lm = Mlp.bceFromLogit(m.mlp.score(x), 0.0)
+        val lm = Mlp.bceFromLogit(m.mlp.outLogit(m.mlp.hidden(x)), 0.0)
         params(i) = w
         out(i) = (lp - lm) / (2 * h)
       }
@@ -149,10 +149,11 @@ class MatcherSpec extends AnyFunSuite {
   test("MatcherScorer agrees with direct prob computation") {
     val emb = new repro.text.HashEmbedding(d = d, seed = 42)
     val m = new Matcher(d, seed = 17)
-    val scorer = new MatcherScorer(emb, PairFeatures.plain, m)
+    val featurizer = new PairFeaturizer(Map.empty)
+    val scorer = new MatcherScorer(emb, featurizer, m)
     val rA = Seq("zorvex kx100 red")
     val sA = Seq("zorvex kx100 dark red")
-    val direct = m.prob(emb.recordVec(rA), emb.recordVec(sA), PairFeatures.scalars(rA, sA))
+    val direct = m.prob(emb.recordVec(rA), emb.recordVec(sA), featurizer.scalars(rA, sA))
     assert(math.abs(scorer.prob(rA, sA) - direct) < 1e-12)
   }
 

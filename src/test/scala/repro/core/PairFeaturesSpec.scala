@@ -166,11 +166,11 @@ class PairFeaturesSpec extends AnyFunSuite {
     })
   }
 
-  test("PairFeatures.plain equals the set definition with uniform IDF (scalacheck)") {
+  test("a featurizer with uniform IDF equals the set definition (scalacheck)") {
+    val featurizer = new PairFeaturizer(Map.empty)
     val reference = new SetPairFeaturizer(Map.empty)
     check(Prop.forAllNoShrink(genRecord, genRecord, genRecord) { (r, s, other) =>
-      agrees(PairFeatures.plain, reference, r, s, other) &&
-        firstDiff(PairFeatures.scalars(r, s), reference.scalars(r, s)) < 0
+      agrees(featurizer, reference, r, s, other)
     })
   }
 

@@ -22,29 +22,16 @@ class ERDatasetSparkSpec extends SparkSpec {
     }
   }
 
-  test("dupsDF matches the gold set") {
-    val pairs = ds.dupsDF(spark).collect().map(r => (r.getInt(0), r.getInt(1))).toSet
-    assert(pairs == ds.dups)
-  }
-
-  test("duplicate count per S record via SQL matches DuckDB (oracle)") {
-    val agg = ds.dupsDF(spark).groupBy("sid").agg(count(lit(1)).as("cnt"))
-      .agg(max("cnt").as("maxdups"), count(lit(1)).as("nsids"))
-    Oracle.assertEquivalent(agg,
-      """SELECT max(cnt) AS maxdups, count(*) AS nsids FROM
-        |  (SELECT sid, count(*) AS cnt FROM dups GROUP BY sid)""".stripMargin,
-      "dups" -> ds.dupsDF(spark))
-  }
-
   test("gold join against records is total (oracle)") {
-    val joined = ds.dupsDF(spark)
+    val dups = spark.createDataFrame(ds.dups.toSeq).toDF("rid", "sid")
+    val joined = dups
       .join(ds.rDF(spark).select(col("id").as("rid")), "rid")
       .join(ds.sDF(spark).select(col("id").as("sid")), "sid")
       .agg(count(lit(1)).as("n"))
     Oracle.assertEquivalent(joined,
       """SELECT count(*) AS n FROM dups d
         |JOIN r ON d.rid = r.id JOIN s ON d.sid = s.id""".stripMargin,
-      "dups" -> ds.dupsDF(spark),
+      "dups" -> dups,
       "r" -> ds.rDF(spark).select("id"),
       "s" -> ds.sDF(spark).select("id"))
   }

@@ -1,9 +1,11 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import org.scalatest.funsuite.AnyFunSuite
+import repro.SparkSpec
+import repro.core.{Dial, DialConfig, RunResult}
+import repro.data.ERDataGen
 
-class ExperimentsSpec extends AnyFunSuite {
+class ExperimentsSpec extends SparkSpec {
 
   test("every paper table is registered once, by id") {
     assert(Experiments.tables.map(_._1) == (1 to 10))
@@ -32,5 +34,19 @@ class ExperimentsSpec extends AnyFunSuite {
     assert(t10 == Seq(
       "Method             W-A     A-G     D-A     D-S     A-B   | paper:     W-A     A-G     D-A     D-S     A-B",
       "DIAL (N=10)       0.02    0.01    0.01    0.03    0.01   |      :    90.8     8.2    15.8   263.1    42.0"))
+  }
+
+  test("the run memo tells apart datasets of equal name and sizes") {
+    val a = ERDataGen.walmartAmazon(seed = 11, scale = 0.05)
+    val b = ERDataGen.walmartAmazon(seed = 12, scale = 0.05)
+    assert(a.name == b.name && a.r.size == b.r.size && a.s.size == b.s.size && a.r != b.r)
+    val cfg = DialConfig(rounds = 0, seedPos = 8, seedNeg = 8, matcherEpochs = 4, blockerEpochs = 8,
+                         embedDim = 16)
+    def metrics(r: RunResult) = r.copy(stageTimes = IndexedSeq.empty)
+    val ra = Experiments.dialRun(spark, a, cfg)
+    val rb = Experiments.dialRun(spark, b, cfg)
+    assert(metrics(rb) != metrics(ra))
+    assert(metrics(rb) == metrics(new Dial(spark, b, cfg).run()))
+    assert(Experiments.dialRun(spark, a, cfg) eq ra)
   }
 }

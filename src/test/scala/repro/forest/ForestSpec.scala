@@ -94,17 +94,8 @@ class ForestSpec extends AnyFunSuite {
       val v = f.voteFraction(x)
       assert(v >= 0.0 && v <= 1.0)
     }
-    val acc = xs.indices.count(i => f.predict(xs(i)) == (ys(i) > 0.5)).toDouble / xs.size
+    val acc = xs.indices.count(i => (f.voteFraction(xs(i)) > 0.5) == (ys(i) > 0.5)).toDouble / xs.size
     assert(acc > 0.9, s"forest accuracy $acc")
-  }
-
-  test("variance is p(1-p) and peaks at maximal disagreement") {
-    val (xs, ys) = xor(100, 10)
-    val f = RandomForest.fit(xs, ys, nTrees = 10, seed = 11)
-    xs.take(10).foreach { x =>
-      val p = f.voteFraction(x)
-      assert(math.abs(f.variance(x) - p * (1 - p)) < 1e-12)
-    }
   }
 
   test("bootstrap trees differ") {

@@ -24,7 +24,7 @@ class MlpReferenceSpec extends AnyFunSuite {
         // accumulate onto a non-zero gradient, as a mini-batch does
         val start = Array.fill(mlp.nParams)(g.nextGaussian())
         val got = start.clone(); val exp = start.clone()
-        val gx = mlp.backprop(x, y, got)
+        val gx = mlp.backprop(x, mlp.hidden(x), y, got)
         val gxRef = ReferenceMlp.backprop(mlp, x, y, exp)
         assert(got.sameElements(exp), s"parameter gradient, example $rep")
         assert(gx.sameElements(gxRef), s"input gradient, example $rep")

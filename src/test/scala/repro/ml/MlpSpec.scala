@@ -12,9 +12,9 @@ class MlpSpec extends AnyFunSuite {
     params.indices.foreach { i =>
       val w = params(i)
       params(i) = w + h
-      val lp = Mlp.bceFromLogit(mlp.score(x), y)
+      val lp = Mlp.bceFromLogit(mlp.outLogit(mlp.hidden(x)), y)
       params(i) = w - h
-      val lm = Mlp.bceFromLogit(mlp.score(x), y)
+      val lm = Mlp.bceFromLogit(mlp.outLogit(mlp.hidden(x)), y)
       params(i) = w
       g(i) = (lp - lm) / (2 * h)
     }
@@ -39,7 +39,7 @@ class MlpSpec extends AnyFunSuite {
   test("prob is sigmoid of score") {
     val mlp = new Mlp(3, 2, seed = 3)
     val x = Array(0.1, -0.2, 0.5)
-    assert(math.abs(mlp.prob(x) - Mlp.sigmoid(mlp.score(x))) < 1e-12)
+    assert(math.abs(mlp.prob(x) - Mlp.sigmoid(mlp.outLogit(mlp.hidden(x)))) < 1e-12)
   }
 
   test("backprop parameter gradient matches finite differences (y=1)") {
@@ -47,7 +47,7 @@ class MlpSpec extends AnyFunSuite {
     val g = new Rnd.Gen(11)
     val x = Array.fill(4)(g.nextGaussian())
     val analytic = new Array[Double](mlp.nParams)
-    mlp.backprop(x, 1.0, analytic)
+    mlp.backprop(x, mlp.hidden(x), 1.0, analytic)
     val numeric = numericGrad(mlp, x, 1.0)
     analytic.indices.foreach { i =>
       assert(math.abs(analytic(i) - numeric(i)) < 1e-4,
@@ -60,7 +60,7 @@ class MlpSpec extends AnyFunSuite {
     val g = new Rnd.Gen(12)
     val x = Array.fill(6)(g.nextGaussian())
     val analytic = new Array[Double](mlp.nParams)
-    mlp.backprop(x, 0.0, analytic)
+    mlp.backprop(x, mlp.hidden(x), 0.0, analytic)
     val numeric = numericGrad(mlp, x, 0.0)
     analytic.indices.foreach { i =>
       assert(math.abs(analytic(i) - numeric(i)) < 1e-4)
@@ -72,12 +72,12 @@ class MlpSpec extends AnyFunSuite {
     val g = new Rnd.Gen(13)
     val x = Array.fill(5)(g.nextGaussian())
     val dummy = new Array[Double](mlp.nParams)
-    val gx = mlp.backprop(x, 1.0, dummy)
+    val gx = mlp.backprop(x, mlp.hidden(x), 1.0, dummy)
     val h = 1e-6
     x.indices.foreach { i =>
       val xp = x.clone(); xp(i) += h
       val xm = x.clone(); xm(i) -= h
-      val num = (Mlp.bceFromLogit(mlp.score(xp), 1.0) - Mlp.bceFromLogit(mlp.score(xm), 1.0)) / (2 * h)
+      val num = (Mlp.bceFromLogit(mlp.outLogit(mlp.hidden(xp)), 1.0) - Mlp.bceFromLogit(mlp.outLogit(mlp.hidden(xm)), 1.0)) / (2 * h)
       assert(math.abs(gx(i) - num) < 1e-4, s"input $i: ${gx(i)} vs $num")
     }
   }
@@ -98,7 +98,7 @@ class MlpSpec extends AnyFunSuite {
     val adam = new Adam(mlp.nParams, 0.05)
     (1 to 200).foreach { _ =>
       val grad = new Array[Double](mlp.nParams)
-      data.foreach { case (x, y) => mlp.backprop(x, y, grad) }
+      data.foreach { case (x, y) => mlp.backprop(x, mlp.hidden(x), y, grad) }
       Vec.scaleI(grad, 1.0 / data.size)
       adam.step(mlp.params, grad)
     }

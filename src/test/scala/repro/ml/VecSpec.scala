@@ -47,15 +47,6 @@ class VecSpec extends AnyFunSuite {
     assert(math.abs(Vec.distSq(a, b) - (1.0 + 9.0 + 4.0)) < eps)
   }
 
-  test("mean") {
-    val m = Vec.mean(Seq(Array(1.0, 2.0), Array(3.0, 6.0)))
-    assert(m.toSeq == Seq(2.0, 4.0))
-  }
-
-  test("mean of empty rejects") {
-    intercept[IllegalArgumentException](Vec.mean(Seq.empty))
-  }
-
   test("triangle inequality for l2 (scalacheck)") {
     val gen = org.scalacheck.Gen.listOfN(6, org.scalacheck.Gen.choose(-10.0, 10.0))
     val prop = org.scalacheck.Prop.forAll(gen) { xs =>
