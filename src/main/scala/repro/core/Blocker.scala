@@ -5,7 +5,6 @@ import repro.data.ERDataset
 import repro.index.{EmbView, ExactIndex, NnIndex}
 import repro.text.HashEmbedding
 import repro.util.Par
-import scala.collection.mutable
 
 /** One candidate pair surfaced by blocking; `dist` is the smallest squared-L2
   * distance across the committee members that retrieved it.
@@ -23,17 +22,18 @@ final case class CandPair(rId: Int, sId: Int, dist: Double)
   */
 object Blocker {
 
-  /** Per-member exact index over R built from driver-side base embeddings.
-    * Each index is a pure function of its view, so the members' indexes are
-    * built concurrently.
+  /** Per-member exact index over R built from driver-side base embeddings,
+    * projected through the member's view a chunk at a time
+    * ([[NnIndex.project]]). Each index is a pure function of its view, so
+    * the members' indexes are built concurrently.
     */
   def buildIndexes(rBase: Array[Array[Double]], views: IndexedSeq[EmbView]): IndexedSeq[NnIndex] = {
     val ids = Array.tabulate(rBase.length)(identity)
-    Par.tabulate(views.length)(k => new ExactIndex(ids, rBase.map(views(k).apply)): NnIndex)
+    Par.tabulate(views.length)(k => new ExactIndex(ids, NnIndex.project(views(k), rBase)): NnIndex)
   }
 
   /** CAND ordering: distance, then R id, then S id (a total order, since
-    * the pairs are distinct).
+    * the pairs are distinct, so any sort of them gives one result).
     */
   private val byDistThenIds: Ordering[CandPair] = (a, b) => {
     val c = java.lang.Double.compare(a.dist, b.dist)
@@ -46,12 +46,14 @@ object Blocker {
     * index for its top `k`; each (r, s) pair keeps its smallest distance
     * over the members, and the pairs ordered by (distance, r id, s id) are
     * cut to the first `candSize`. An s has at most N·k hits, so its pairs
-    * are deduplicated by a scan over them.
+    * are deduplicated by a scan over them. The pairs are sorted on the
+    * common fork-join pool (`Arrays.parallelSort`); the order is total, so
+    * CAND does not depend on the thread count.
     */
   def retrieveCand(sBase: Array[Array[Double]], views: IndexedSeq[EmbView],
                    indexes: IndexedSeq[NnIndex], k: Int, candSize: Int): IndexedSeq[CandPair] = {
     val hits = NnIndex.probe(sBase, views, indexes, k)
-    val union = mutable.ArrayBuffer.empty[CandPair]
+    val union = Array.newBuilder[CandPair]
     val cap = indexes.map(ix => math.min(math.max(k, 0), ix.size)).sum
     val rIds = new Array[Int](cap)
     val dists = new Array[Double](cap)
@@ -66,7 +68,9 @@ object Blocker {
       var i = 0
       while (i < n) { union += CandPair(rIds(i), sId, dists(i)); i += 1 }
     }
-    union.sortInPlace()(byDistThenIds).take(candSize).toIndexedSeq
+    val sorted = union.result()
+    java.util.Arrays.parallelSort(sorted, byDistThenIds)
+    sorted.take(candSize).toIndexedSeq
   }
 
   /** Benchmark-only adapter: the signature `dialbench/Replay.scala` compiles

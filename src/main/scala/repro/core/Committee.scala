@@ -20,12 +20,12 @@ case object LabeledNegs extends NegMode
   * `E_k(x) = tanh(U_k(M_k ⊙ E(x), 1))`. Row-major U: row j spans
   * `[j*(d+1), (j+1)*(d+1))`, last column is the bias.
   *
-  * The mask is 0/1, so `M_k ⊙ E(x)` only selects columns of U: `encode` and
-  * the training kernel ([[MemberKernel]]) sum over the retained dimensions
-  * alone. A skipped term would have been `u·0·e = ±0` (inputs are finite:
-  * `recordVec` and tanh make them so), which leaves every sum as it is, up
-  * to the sign of an exact zero that no use of the output can see: each use
-  * squares it, takes its absolute value or multiplies it.
+  * The mask is 0/1, so `M_k ⊙ E(x)` only selects columns of U: [[forward]]
+  * sums over the retained dimensions alone. A skipped term would have been
+  * `u·0·e = ±0` (inputs are finite: `recordVec` and tanh make them so),
+  * which leaves every sum as it is, up to the sign of an exact zero that no
+  * use of the output can see: each use squares it, takes its absolute value
+  * or multiplies it.
   */
 final class Member(val d: Int, val mask: Array[Double], val u: Array[Double]) {
   require(mask.length == d && u.length == d * (d + 1), "member shape mismatch")
@@ -34,35 +34,49 @@ final class Member(val d: Int, val mask: Array[Double], val u: Array[Double]) {
   /** The retained input dimensions (mask 1), ascending. */
   private[core] val kept: Array[Int] = (0 until d).filter(mask(_) == 1.0).toArray
 
-  /** E_k(e). Four rows of U per pass over the kept columns: each row's sum
-    * is still the bias plus its kept terms in ascending column order.
-    */
+  /** E_k(e): the one-record case of [[forward]]. */
   def encode(e: Array[Double]): Array[Double] = {
-    val out = new Array[Double](d)
-    val w = d + 1
+    val out = Array.ofDim[Double](1, d)
+    forward(kept.map(i => Array(e(i))), 1, new Array[Double](1), out)
+    out(0)
+  }
+
+  /** Encodes `n` records given by their retained inputs column by column,
+    * `x(t)(r)` = input `kept(t)` of record r, into `out(r)`. For each row j
+    * of U, all records' sums at once in `acc`, four kept columns per pass:
+    * each sum is the bias plus its kept terms in ascending column order.
+    * Training ([[MemberKernel]]) and projection ([[MemberView]]) both
+    * encode through here.
+    */
+  private[core] def forward(x: Array[Array[Double]], n: Int, acc: Array[Double],
+                            out: Array[Array[Double]]): Unit = {
+    val kp = kept.length
     var j = 0
-    while (j + 4 <= d) {
-      val o0 = j * w; val o1 = o0 + w; val o2 = o1 + w; val o3 = o2 + w
-      var s0 = u(o0 + d); var s1 = u(o1 + d); var s2 = u(o2 + d); var s3 = u(o3 + d)
+    while (j < d) {
+      val off = j * (d + 1)
+      java.util.Arrays.fill(acc, 0, n, u(off + d))
       var t = 0
-      while (t < kept.length) {
-        val i = kept(t); val ei = e(i)
-        s0 += u(o0 + i) * ei; s1 += u(o1 + i) * ei; s2 += u(o2 + i) * ei; s3 += u(o3 + i) * ei
+      while (t + 4 <= kp) {
+        val a0 = u(off + kept(t)); val a1 = u(off + kept(t + 1))
+        val a2 = u(off + kept(t + 2)); val a3 = u(off + kept(t + 3))
+        val c0 = x(t); val c1 = x(t + 1); val c2 = x(t + 2); val c3 = x(t + 3)
+        var r = 0
+        while (r < n) {
+          acc(r) = (((acc(r) + a0 * c0(r)) + a1 * c1(r)) + a2 * c2(r)) + a3 * c3(r)
+          r += 1
+        }
+        t += 4
+      }
+      while (t < kp) {
+        val a = u(off + kept(t)); val col = x(t)
+        var r = 0
+        while (r < n) { acc(r) += a * col(r); r += 1 }
         t += 1
       }
-      out(j) = FdLibm.tanh(s0); out(j + 1) = FdLibm.tanh(s1)
-      out(j + 2) = FdLibm.tanh(s2); out(j + 3) = FdLibm.tanh(s3)
-      j += 4
-    }
-    while (j < d) {
-      val off = j * w
-      var s = u(off + d)
-      var t = 0
-      while (t < kept.length) { val i = kept(t); s += u(off + i) * e(i); t += 1 }
-      out(j) = FdLibm.tanh(s)
+      var r = 0
+      while (r < n) { out(r)(j) = FdLibm.tanh(acc(r)); r += 1 }
       j += 1
     }
-    out
   }
 }
 
@@ -71,8 +85,8 @@ final class Member(val d: Int, val mask: Array[Double], val u: Array[Double]) {
   * their retained inputs column by column and their outputs and output
   * gradients record by record, and the step's gradient `gU` in U's layout.
   *
-  * The arithmetic is [[Member]]'s, term for term. Each output is the bias
-  * plus the kept terms in ascending column order; each entry of `gU` sums
+  * The forward pass is [[Member.forward]]: each output is the bias plus the
+  * kept terms in ascending column order. Each entry of `gU` sums
   * its records' terms from +0.0 in the order the records were added. Both
   * loops run over one whole row of sums at a time, each sum in its own slot
   * of `acc`, and add four terms to every slot per pass (four kept columns in
@@ -128,37 +142,8 @@ private[core] final class MemberKernel(m: Member, capacity: Int) {
     n += 1
   }
 
-  /** Encodes every record into `out`: for each row j of U, all records'
-    * sums at once, four kept columns per pass.
-    */
-  def forward(): Unit = {
-    var j = 0
-    while (j < d) {
-      val off = j * (d + 1)
-      java.util.Arrays.fill(acc, 0, n, u(off + d))
-      var t = 0
-      while (t + 4 <= kp) {
-        val a0 = u(off + kept(t)); val a1 = u(off + kept(t + 1))
-        val a2 = u(off + kept(t + 2)); val a3 = u(off + kept(t + 3))
-        val c0 = x(t); val c1 = x(t + 1); val c2 = x(t + 2); val c3 = x(t + 3)
-        var r = 0
-        while (r < n) {
-          acc(r) = (((acc(r) + a0 * c0(r)) + a1 * c1(r)) + a2 * c2(r)) + a3 * c3(r)
-          r += 1
-        }
-        t += 4
-      }
-      while (t < kp) {
-        val a = u(off + kept(t)); val col = x(t)
-        var r = 0
-        while (r < n) { acc(r) += a * col(r); r += 1 }
-        t += 1
-      }
-      var r = 0
-      while (r < n) { out(r)(j) = FdLibm.tanh(acc(r)); r += 1 }
-      j += 1
-    }
-  }
+  /** Encodes every record into `out` ([[Member.forward]]). */
+  def forward(): Unit = m.forward(x, n, acc, out)
 
   /** `gU` = `scale` · Σ_records dz ⊗ (x, 1), summed in record order, where
     * dz = dOut ⊙ (1 − out²): for each retained column of U, then the bias,
@@ -434,12 +419,37 @@ object Committee {
     // the q-th logit that depends on p: 0, then 1 + 3i and 2 + 3i for each i
     def perPos(q: Int): Int = if (q == 0) 0 else 3 * ((q - 1) / 2) + 1 + (q - 1) % 2
     val nPer = 1 + 2 * nb
-    def addSimGrad(wt: Double, l: Int, du: Array[Double], dv: Array[Double]): Unit = {
-      val row = twoDiff(l)
-      var t = 0
-      while (t < row.length) { du(t) -= wt * row(t); t += 1 }
-      t = 0
-      while (t < row.length) { dv(t) += wt * row(t); t += 1 }
+    // dst += Σ_q sgn·w(l_q)·2(u − v)_{l_q} over the n logits l_0 = first,
+    // l_q = next + stride·(q − 1), in that order: four, then two, then one
+    // logit per pass over the dimensions. sgn·w is exact and x + (−y) is
+    // x − y, so sgn = −1.0 gives `dst −= w·2(u − v)` bit for bit.
+    def addRows(dst: Array[Double], sgn: Double, n: Int, first: Int, next: Int, stride: Int): Unit = {
+      def at(q: Int): Int = if (q == 0) first else next + stride * (q - 1)
+      var q = 0
+      while (q + 4 <= n) {
+        val l0 = at(q); val l1 = at(q + 1); val l2 = at(q + 2); val l3 = at(q + 3)
+        val a0 = sgn * exps(l0); val a1 = sgn * exps(l1); val a2 = sgn * exps(l2); val a3 = sgn * exps(l3)
+        val r0 = twoDiff(l0); val r1 = twoDiff(l1); val r2 = twoDiff(l2); val r3 = twoDiff(l3)
+        var t = 0
+        while (t < k.d) {
+          dst(t) = (((dst(t) + a0 * r0(t)) + a1 * r1(t)) + a2 * r2(t)) + a3 * r3(t)
+          t += 1
+        }
+        q += 4
+      }
+      if (q + 2 <= n) {
+        val l0 = at(q); val l1 = at(q + 1)
+        val a0 = sgn * exps(l0); val a1 = sgn * exps(l1)
+        val r0 = twoDiff(l0); val r1 = twoDiff(l1)
+        var t = 0
+        while (t < k.d) { dst(t) = (dst(t) + a0 * r0(t)) + a1 * r1(t); t += 1 }
+        q += 2
+      }
+      if (q < n) {
+        val l = at(q); val a = sgn * exps(l); val row = twoDiff(l)
+        var t = 0
+        while (t < k.d) { dst(t) += a * row(t); t += 1 }
+      }
     }
     var i = 0
     while (i + 4 <= nb) { sim4(0, 3 + 3 * i, 6 + 3 * i, 9 + 3 * i, 12 + 3 * i); i += 4 }
@@ -457,16 +467,19 @@ object Committee {
       l = 0
       while (l < nLogit) { exps(l) = math.exp(logits(l) - mx); sum += exps(l); l += 1 }
       total += -(logits(0) - mx) + math.log(sum)
-      // dL/dlogit_l = softmax_l − [l == 0]; each record's gradient takes its
-      // terms in logit order
-      val dRp = g(2 * p); val dSp = g(2 * p + 1)
-      addSimGrad(exps(0) / sum - 1.0, 0, dRp, dSp)
+      // dL/dlogit_l = softmax_l − [l == 0], kept in exps; logit l moves its
+      // pair (u, v) by −w·2(u − v) and +w·2(u − v). Each record takes its
+      // terms in logit order: rp from logits 0 and 2 + 3i, sp from 0 and
+      // 1 + 3i, rn_i from 1 + 3i and 3 + 3i, sn_i from 2 + 3i and 3 + 3i.
+      exps(0) = exps(0) / sum - 1.0
+      l = 1
+      while (l < nLogit) { exps(l) = exps(l) / sum; l += 1 }
+      addRows(g(2 * p), -1.0, 1 + nb, first = 0, next = 2, stride = 3)
+      addRows(g(2 * p + 1), 1.0, 1 + nb, first = 0, next = 1, stride = 3)
       i = 0
       while (i < nb) {
-        val dRn = g(2 * b + 2 * i); val dSn = g(2 * b + 2 * i + 1)
-        addSimGrad(exps(1 + 3 * i) / sum, 1 + 3 * i, dRn, dSp)
-        addSimGrad(exps(2 + 3 * i) / sum, 2 + 3 * i, dRp, dSn)
-        addSimGrad(exps(3 + 3 * i) / sum, 3 + 3 * i, dRn, dSn)
+        addRows(g(2 * b + 2 * i), -1.0, 2, first = 1 + 3 * i, next = 3 + 3 * i, stride = 0)
+        addRows(g(2 * b + 2 * i + 1), 1.0, 2, first = 2 + 3 * i, next = 3 + 3 * i, stride = 0)
         i += 1
       }
       p += 1
@@ -596,8 +609,24 @@ final class ScaleView(g: Array[Double]) extends EmbView {
   override def apply(base: Array[Double]): Array[Double] = Vec.had(g, base)
 }
 
-/** Committee-member embedding E_k(g ⊙ E(x)) — DIAL's IBC and SentenceBERT. */
+/** Committee-member embedding E_k(g ⊙ E(x)) — DIAL's IBC and SentenceBERT.
+  * One record or a batch, both through [[Member.forward]]; a batch takes
+  * only the retained columns of g ⊙ E(x), one column of all records at a
+  * time.
+  */
 final class MemberView(g: Array[Double], member: Member) extends EmbView {
-  override def apply(base: Array[Double]): Array[Double] =
-    member.encode(Vec.had(g, base))
+  override def apply(base: Array[Double]): Array[Double] = member.encode(Vec.had(g, base))
+
+  override def project(bases: Array[Array[Double]]): Array[Array[Double]] = {
+    val n = bases.length
+    val x = member.kept.map { i =>
+      val gi = g(i); val col = new Array[Double](n)
+      var r = 0
+      while (r < n) { col(r) = gi * bases(r)(i); r += 1 }
+      col
+    }
+    val out = Array.ofDim[Double](n, member.d)
+    member.forward(x, n, new Array[Double](n), out)
+    out
+  }
 }

@@ -3,6 +3,7 @@ package repro.core
 import repro.data.ERDataset
 import repro.ml.Vec
 import repro.text.HashEmbedding
+import repro.util.Par
 
 /** Caches the frozen "pretrained" single-mode embeddings E(x) of both lists.
   *
@@ -12,9 +13,12 @@ import repro.text.HashEmbedding
   * transformer's single-mode embeddings, with Θ frozen).
   */
 final class Embedder(val emb: HashEmbedding, val ds: ERDataset) {
-  /** Base (pretrained) embeddings, indexed by record id. */
-  val rBase: Array[Array[Double]] = ds.r.map(rec => emb.recordVec(rec.attrs)).toArray
-  val sBase: Array[Array[Double]] = ds.s.map(rec => emb.recordVec(rec.attrs)).toArray
+  /** Base (pretrained) embeddings, indexed by record id, computed
+    * concurrently: a token's vector is a pure function of the token, so two
+    * threads that both miss `emb`'s token cache store equal vectors.
+    */
+  val rBase: Array[Array[Double]] = Par.tabulate(ds.r.size)(i => emb.recordVec(ds.r(i).attrs)).toArray
+  val sBase: Array[Array[Double]] = Par.tabulate(ds.s.size)(i => emb.recordVec(ds.s(i).attrs)).toArray
 
   /** Corpus-IDF pair featurizer shared by the matcher paths (DESIGN.md §2:
     * the proxy for pretrained attention knowing which tokens are informative).

@@ -43,9 +43,9 @@ object PairFeatures {
     * IDF-weighted Jaccard and the alignment score are floating-point sums,
     * run in token order: a profile holds its tokens by ascending rank, and
     * rank order is token order. The alignment's token-by-token
-    * trigram-Jaccard matrix is computed once and read by row for the
-    * r → s direction, by column for s → r, and over digit tokens for the
-    * model-number similarity.
+    * trigram-Jaccard matrix is computed once from the trigram postings and
+    * read by row for the r → s direction, by column for s → r, and over
+    * digit tokens for the model-number similarity.
     */
   def scalars(r: RecordProfile, s: RecordProfile): Array[Double] = {
     val nr = r.toks.length
@@ -62,7 +62,30 @@ object PairFeatures {
     val idfJac = if (nr == 0 && ns == 0) 0.0 else interSum / unionSum
 
     // Token-by-token trigram Jaccard: row and column maxima, and the maximum
-    // and an exact match over pairs of digit-holding tokens.
+    // and an exact match over pairs of digit-holding tokens. One merge over
+    // the two records' trigram postings counts the trigrams each token pair
+    // shares and the trigrams the records share. A pair that shares none
+    // has Jaccard 0.0, which raises no maximum (all start at 0.0), and equal
+    // tokens share all their trigrams, so only pairs with a shared trigram
+    // are evaluated.
+    val inter = new Array[Int](nr * ns)
+    var sharedGrams = 0
+    var a, b = 0
+    while (a < r.grams.length && b < s.grams.length) {
+      if (r.grams(a) < s.grams(b)) a += 1
+      else if (r.grams(a) > s.grams(b)) b += 1
+      else {
+        sharedGrams += 1
+        var p = r.postStart(a)
+        while (p < r.postStart(a + 1)) {
+          val row = r.postToks(p) * ns
+          var q = s.postStart(b)
+          while (q < s.postStart(b + 1)) { inter(row + s.postToks(q)) += 1; q += 1 }
+          p += 1
+        }
+        a += 1; b += 1
+      }
+    }
     val rowBest = new Array[Double](nr)
     val colBest = new Array[Double](ns)
     var digitBest = 0.0
@@ -71,13 +94,16 @@ object PairFeatures {
     while (i < nr) {
       j = 0
       while (j < ns) {
-        val same = r.toks(i) == s.toks(j)
-        val v = if (same) 1.0 else jaccard(r.tokGrams(i), s.tokGrams(j))
-        if (v > rowBest(i)) rowBest(i) = v
-        if (v > colBest(j)) colBest(j) = v
-        if (r.isDigit(i) && s.isDigit(j)) {
-          if (v > digitBest) digitBest = v
-          if (same) digitShared = true
+        val shared = inter(i * ns + j)
+        if (shared > 0) {
+          val same = r.toks(i) == s.toks(j)
+          val v = if (same) 1.0 else jaccard(shared, r.nGrams(i), s.nGrams(j))
+          if (v > rowBest(i)) rowBest(i) = v
+          if (v > colBest(j)) colBest(j) = v
+          if (r.isDigit(i) && s.isDigit(j)) {
+            if (v > digitBest) digitBest = v
+            if (same) digitShared = true
+          }
         }
         j += 1
       }
@@ -98,7 +124,7 @@ object PairFeatures {
     Array(
       jaccard(ni, nr, ns),
       if (nr == 0 || ns == 0) 0.0 else ni.toDouble / math.min(nr, ns),
-      jaccard(r.grams, s.grams),
+      jaccard(sharedGrams, r.grams.length, s.grams.length),
       idfJac,
       digitAgree,
       digitSim,
@@ -121,33 +147,25 @@ object PairFeatures {
   private def jaccard(inter: Int, na: Int, nb: Int): Double =
     if (na == 0 && nb == 0) 0.0
     else { val x = inter.toDouble; x / (na + nb - x) }
-
-  /** Jaccard of two sorted, distinct id arrays. */
-  private def jaccard(a: Array[Int], b: Array[Int]): Double = {
-    var inter, i, j = 0
-    while (i < a.length && j < b.length) {
-      if (a(i) < b(j)) i += 1
-      else if (a(i) > b(j)) j += 1
-      else { inter += 1; i += 1; j += 1 }
-    }
-    jaccard(inter, a.length, b.length)
-  }
 }
 
 /** What the pair features need of one record, computed once per record.
-  * Per distinct token, ascending by rank: its rank, IDF weight, sorted
-  * distinct trigram ids and whether it holds a digit. And the sorted
-  * distinct trigram ids of the whole record. A token's rank is its position
-  * among the sorted distinct tokens of the call that built the profile, and
-  * trigram ids are interned by that call; profiles pair only with profiles
-  * of the same call.
+  * Per distinct token, ascending by rank: its rank, IDF weight, number of
+  * distinct trigrams and whether it holds a digit. Per distinct trigram of
+  * the record, ascending by id: the local indices (positions in `toks`) of
+  * the tokens that hold it, ascending, at `postToks(postStart(g) until
+  * postStart(g + 1))`. A token's rank is its position among the sorted
+  * distinct tokens of the call that built the profile, and trigram ids are
+  * interned by that call; profiles pair only with profiles of the same call.
   */
 final class RecordProfile private[core] (
     private[core] val toks: Array[Int],
     private[core] val weights: Array[Double],
-    private[core] val tokGrams: Array[Array[Int]],
+    private[core] val nGrams: Array[Int],
     private[core] val isDigit: Array[Boolean],
     private[core] val grams: Array[Int],
+    private[core] val postStart: Array[Int],
+    private[core] val postToks: Array[Int],
 ) {
   /** Whether any token holds a digit. */
   private[core] val hasDigit: Boolean = isDigit.exists(identity)
@@ -199,8 +217,22 @@ object PairFeaturizer {
     def profile(i: Int): RecordProfile = {
       val ids = records(i).map(rank)
       java.util.Arrays.sort(ids)
-      new RecordProfile(ids, ids.map(weight(_)), ids.map(grams(_)), ids.map(digit(_)),
-                        sortedDistinct(ids.flatMap(grams(_))))
+      // (trigram id, local token index) pairs, sorted: the postings in order
+      val keys = ids.indices.toArray.flatMap(t => grams(ids(t)).map(g => (g.toLong << 32) | t))
+      java.util.Arrays.sort(keys)
+      val postToks = keys.map(_.toInt)
+      val recGrams = new Array[Int](keys.length)
+      val postStart = new Array[Int](keys.length + 1)
+      var n = 0
+      var k = 0
+      while (k < keys.length) {
+        val g = (keys(k) >>> 32).toInt
+        if (n == 0 || recGrams(n - 1) != g) { recGrams(n) = g; postStart(n) = k; n += 1 }
+        k += 1
+      }
+      postStart(n) = keys.length
+      new RecordProfile(ids, ids.map(weight(_)), ids.map(grams(_).length), ids.map(digit(_)),
+                        java.util.Arrays.copyOf(recGrams, n), java.util.Arrays.copyOf(postStart, n + 1), postToks)
     }
   }
 

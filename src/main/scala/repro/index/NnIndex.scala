@@ -10,6 +10,11 @@ import repro.util.Par
   */
 trait EmbView {
   def apply(base: Array[Double]): Array[Double]
+
+  /** The view of each of `bases`, in order, equal to `apply` on each; a
+    * view may compute the batch in one pass.
+    */
+  def project(bases: Array[Array[Double]]): Array[Array[Double]] = bases.map(apply)
 }
 
 /** Nearest-neighbour index over d-dimensional vectors — our FAISS substitute:
@@ -26,21 +31,35 @@ trait NnIndex {
 
 object NnIndex {
 
+  /** Records per [[EmbView.project]] call: a member's retained inputs for
+    * one chunk (at most 64 × 128 doubles) stay in the core's cache while
+    * every row of U passes over them.
+    */
+  private[repro] val Chunk = 128
+
+  /** `view` of every vector of `bases`, in order, projected one chunk at a
+    * time.
+    */
+  def project(view: EmbView, bases: Array[Array[Double]]): Array[Array[Double]] =
+    bases.grouped(Chunk).flatMap(view.project).toArray
+
   /** Index-By-Committee probing (paper Algorithm 1, lines 10–24): every
     * query's base embedding is projected through each member's view and
     * searched in that member's index. Returns, per query and then per
     * member, the top-`k` (id, distance) hits, ascending. Members are probed
-    * one after another, each by all queries concurrently, so every core
-    * works over one member's index at a time; the result does not depend on
-    * the thread count.
+    * one after another, each by all chunks of queries concurrently (one
+    * task projects its chunk, then searches each projection), so every
+    * core works over one member's index at a time; the result does not
+    * depend on the thread count.
     */
   def probe(queries: Array[Array[Double]], views: IndexedSeq[EmbView],
             indexes: IndexedSeq[NnIndex], k: Int): IndexedSeq[IndexedSeq[Array[(Int, Double)]]] = {
     require(views.length == indexes.length, "view/index count mismatch")
+    val chunks = queries.grouped(Chunk).toArray
     val byMember = views.indices.map { m =>
-      Par.tabulate(queries.length)(q => indexes(m).search(views(m)(queries(q)), k))
+      Par.tabulate(chunks.length)(c => views(m).project(chunks(c)).map(indexes(m).search(_, k)))
     }
-    IndexedSeq.tabulate(queries.length)(q => byMember.map(_(q)))
+    IndexedSeq.tabulate(queries.length)(q => byMember.map(_(q / Chunk)(q % Chunk)))
   }
 
   /** Bounded ascending top-k accumulator (insertion into a small array —

@@ -1,28 +1,32 @@
 package repro.text
 
-/** Text normalisation and tokenisation shared by the embedding substrate,
-  * the rule blocker, the similarity features and the JedAI pipelines.
+/** Tokenisation shared by the embedding substrate, the rule blocker, the
+  * similarity features and the JedAI pipelines.
   *
-  * Deliberately simple and deterministic: lowercase, strip punctuation to
-  * spaces (keeping alphanumerics, which preserves model numbers like
-  * "xj2000"), split on whitespace.
+  * Deliberately simple and deterministic: a token is a maximal run of
+  * letters and digits (which preserves model numbers like "xj2000"),
+  * lowercased; everything else separates tokens.
   */
 object Tokenizer {
 
-  def normalize(s: String): String = {
-    val sb = new StringBuilder(s.length)
+  /** The maximal runs of letters and digits of `s`, lowercased, in order.
+    * Characters are UTF-16 code units: `Character.isLetterOrDigit` and
+    * `Character.toLowerCase` see each one alone, so the two halves of a
+    * surrogate pair separate tokens like punctuation does.
+    */
+  def tokens(s: String): Array[String] = {
+    val out = Array.newBuilder[String]
+    val tok = new java.lang.StringBuilder
     var i = 0
     while (i < s.length) {
       val c = s.charAt(i)
-      if (Character.isLetterOrDigit(c)) sb.append(Character.toLowerCase(c))
-      else sb.append(' ')
+      if (Character.isLetterOrDigit(c)) tok.append(Character.toLowerCase(c))
+      else if (tok.length > 0) { out += tok.toString; tok.setLength(0) }
       i += 1
     }
-    sb.toString
+    if (tok.length > 0) out += tok.toString
+    out.result()
   }
-
-  def tokens(s: String): Array[String] =
-    normalize(s).split("\\s+").filter(_.nonEmpty)
 
   /** Character trigrams of a token padded with '#', e.g. "cat" →
     * {"##c","#ca","cat","at#","t##"}. These give the simulated TPLM its

@@ -5,9 +5,9 @@ import java.util.stream.IntStream
 /** Index-parallel work on the JVM's common fork-join pool, with the calling
   * thread taking a share; the pool is sized from the runtime's core count.
   * Used where the items are independent: committee members (paper
-  * Eq. 7–8) and their indexes, the S records probing those indexes,
-  * per-record pair-feature profiles, and the pairs of a candidate set being
-  * scored.
+  * Eq. 7–8) and their indexes, the chunks of S records probing those
+  * indexes, per-record base embeddings and pair-feature profiles, and the
+  * pairs of a candidate set being scored.
   */
 object Par {
 

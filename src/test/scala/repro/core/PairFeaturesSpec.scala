@@ -202,4 +202,39 @@ class PairFeaturesSpec extends AnyFunSuite {
     assert(featurizer.scalars(Seq("zoom digital lens"), Seq("edition digital card"))(3) ==
            0.16195997755750888)
   }
+
+  test("pairs the trigram postings treat specially equal the set definition") {
+    val idf = Map("x" -> 2.5, "xyz" -> 0.75, "aaaa" -> 1.25, "2000" -> 3.5, "a1" -> 0.5, "dog" -> 4.0)
+    val featurizer = new PairFeaturizer(idf)
+    val reference = new SetPairFeaturizer(idf)
+    Seq(
+      (Seq("x"), Seq("xyz")),                 // only the pad gram ##x in common
+      (Seq("ax"), Seq("bx")),                 // only the pad gram x## in common
+      (Seq("xa b"), Seq("xb a")),             // ##x and #a#/a## across different tokens
+      (Seq("aaaa"), Seq("aaa")),              // repeated grams: equal distinct gram sets
+      (Seq("aaaa aaab"), Seq("aaa baaa")),     // repeated grams held by several tokens
+      (Seq("2000 x"), Seq("2000 y")),         // an equal digit token
+      (Seq("a1 2000"), Seq("2000 a1 a2")),    // equal digit tokens and a typo'd one
+      (Seq("2000"), Seq("2001")),             // digit tokens that differ
+      (Seq("cat"), Seq("dog")),               // no shared gram at all
+      (Seq("cat 42"), Seq("dog 7")),          // no shared gram, digits on both sides
+      (Seq("cat"), Seq("")),                  // an empty record
+    ).foreach { case (r, s) =>
+      Seq((r, s), (s, r)).foreach { case (a, b) =>
+        val want = reference.scalars(a, b)
+        val batch = featurizer.profiles(IndexedSeq(b, Seq("aaa x 2000 dog"), a))
+        Seq(featurizer.scalars(a, b), PairFeatures.scalars(batch(2), batch(0))).foreach { got =>
+          assert(firstDiff(got, want) < 0, s"$a vs $b: ${show(got)} vs ${show(want)}")
+        }
+      }
+    }
+    // one shared gram of seven distinct: trigram Jaccard and alignment 1/7
+    val onePad = featurizer.scalars(Seq("xa"), Seq("xb"))
+    assert(onePad(2) == 1.0 / 7 && onePad(6) == 1.0 / 7)
+    // no shared gram: every similarity is 0, digits disagree
+    assert(featurizer.scalars(Seq("cat 42"), Seq("dog 7")).toSeq == Seq(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+    // equal digit tokens agree exactly
+    val digits = featurizer.scalars(Seq("2000 x"), Seq("2000 y"))
+    assert(digits(4) == 1.0 && digits(5) == 1.0)
+  }
 }

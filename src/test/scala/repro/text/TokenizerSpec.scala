@@ -1,13 +1,33 @@
 package repro.text
 
+import org.scalacheck.{Gen, Prop, Test}
 import org.scalatest.funsuite.AnyFunSuite
 
 class TokenizerSpec extends AnyFunSuite {
 
-  test("normalize lowercases") { assert(Tokenizer.normalize("AbC") == "abc") }
+  /** The tokenizer as it was first written, kept as the reference: every
+    * character that is not a letter or digit becomes a space, letters and
+    * digits are lowercased one `char` at a time, and the result is split
+    * on whitespace.
+    */
+  private def normalize(s: String): String = {
+    val sb = new StringBuilder(s.length)
+    var i = 0
+    while (i < s.length) {
+      val c = s.charAt(i)
+      if (Character.isLetterOrDigit(c)) sb.append(Character.toLowerCase(c))
+      else sb.append(' ')
+      i += 1
+    }
+    sb.toString
+  }
+
+  private def referenceTokens(s: String): Array[String] = normalize(s).split("\\s+").filter(_.nonEmpty)
+
+  test("normalize lowercases") { assert(normalize("AbC") == "abc") }
 
   test("normalize strips punctuation to spaces") {
-    assert(Tokenizer.normalize("a-b.c") == "a b c")
+    assert(normalize("a-b.c") == "a b c")
   }
 
   test("normalize keeps digits (model numbers survive)") {
@@ -25,6 +45,50 @@ class TokenizerSpec extends AnyFunSuite {
 
   test("tokens keeps alphanumeric runs together") {
     assert(Tokenizer.tokens("kx2741b").toSeq == Seq("kx2741b"))
+  }
+
+  /** Every `char` of one Unicode general category. */
+  private def category(cat: Int): IndexedSeq[Char] =
+    (Char.MinValue to Char.MaxValue).filter(c => Character.getType(c) == cat)
+
+  // Code points above U+FFFF (letters, digits and symbols, so surrogate
+  // pairs), lone surrogate halves, titlecase letters, every whitespace and
+  // control character, every separator category, and letters whose
+  // lowercase is another letter.
+  private val astral = Seq(0x1D400, 0x1D7CE, 0x10400, 0x1F600, 0x20000, 0x1F1E6, 0x10FFFF)
+    .map(cp => new String(Character.toChars(cp)))
+  private val specials: IndexedSeq[Char] =
+    (Char.MinValue to Char.MaxValue).filter(c => Character.isWhitespace(c) || Character.isSpaceChar(c) ||
+      Character.isISOControl(c)) ++
+    category(Character.TITLECASE_LETTER) ++ category(Character.FORMAT) ++
+    category(Character.LINE_SEPARATOR) ++ category(Character.PARAGRAPH_SEPARATOR) ++
+    Seq('\uD800', '\uDBFF', '\uDC00', '\uDFFF', 'İ', 'Σ', 'ς', 'ẞ', 'K', 'Ω', '٣', '੬', 'Ⅻ', '\u0085', '\u200B', '\uFEFF')
+  private val genPiece: Gen[String] = Gen.frequency(
+    4 -> Gen.alphaNumStr.map(_.take(6)),
+    3 -> Gen.oneOf(specials).map(_.toString),
+    2 -> Gen.oneOf(astral),
+    2 -> Gen.choose(Char.MinValue, Char.MaxValue).map(_.toString),
+    1 -> Gen.oneOf(" ", "  ", "-", ".", "/", "\t\n"))
+  private val genText: Gen[String] = Gen.listOf(genPiece).map(_.mkString)
+
+  test("tokens equals normalize + split on arbitrary Unicode text (scalacheck)") {
+    val prop = Prop.forAll(genText) { s => Tokenizer.tokens(s).sameElements(referenceTokens(s)) }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(5000), prop)
+    assert(res.passed, res.status.toString)
+  }
+
+  test("tokens equals normalize + split on every single char and every char between letters") {
+    (Char.MinValue to Char.MaxValue).foreach { c =>
+      Seq(c.toString, s"a${c}b", s"${c}Z$c").foreach { s =>
+        assert(Tokenizer.tokens(s).sameElements(referenceTokens(s)), f"U+${c.toInt}%04X")
+      }
+    }
+  }
+
+  test("surrogate pairs and titlecase letters tokenize as the reference does") {
+    val s = "x\uD835\uDC00y ǅungla 𝟎9 \u2028Ab\u00A0cD"
+    assert(Tokenizer.tokens(s).toSeq == referenceTokens(s).toSeq)
+    assert(Tokenizer.tokens("ǅungla").toSeq == Seq("ǆungla"))
   }
 
   test("trigrams of 'cat'") {
