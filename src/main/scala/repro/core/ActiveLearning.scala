@@ -1,6 +1,8 @@
 package repro.core
 
 import repro.data.ERDataset
+import repro.index.NnIndex
+import repro.util.Rnd
 import scala.collection.mutable
 
 /** Quantities tracked per round (the progressive curves of Figures 4–7). */
@@ -58,6 +60,52 @@ object ActiveLearning {
     val t0 = System.nanoTime()
     val a = body
     (a, (System.nanoTime() - t0) / 1e9)
+  }
+
+  /** The initial labeled seed T every method starts from (paper §4.3):
+    * `seedPos` duplicates and `seedNeg` negatives sampled outside the test
+    * split. For the multilingual dataset, the only one that evaluates
+    * `embedder`, they are drawn from the pairs an index of its pretrained
+    * vectors retrieves (§4.5). Every call draws from a fresh generator.
+    */
+  def seedSet(ds: ERDataset, cfg: DialConfig, embedder: => Embedder): IndexedSeq[LabeledPair] = {
+    require(ds.r.nonEmpty, s"dataset ${ds.name}: the R list is empty")
+    require(ds.s.nonEmpty, s"dataset ${ds.name}: the S list is empty")
+    val rng = new Rnd.Gen(Rnd.combine(cfg.seed, Rnd.hash64(ds.name)))
+    def sample(pairs: IndexedSeq[(Int, Int)], n: Int, y: Boolean): IndexedSeq[LabeledPair] =
+      rng.sampleDistinct(pairs.length, math.min(n, pairs.length)).toIndexedSeq
+        .map(pairs).map { case (a, b) => LabeledPair(a, b, y) }
+    if (ds.germanToEnglish.nonEmpty) { // probe with every s, split the retrieved pairs by gold, sample 50/50
+      val views = IndexedSeq(new PlainView)
+      val hits = NnIndex.probe(embedder.sBase, views, Blocker.buildIndexes(embedder.rBase, views), 3)
+      val retrieved = hits.indices.flatMap(sId => hits(sId).head.map { case (rId, _) => (rId, sId) })
+      val (dup, non) = retrieved.filterNot(ds.testSet.contains).partition(ds.dups.contains)
+      return sample(dup, cfg.seedPos, y = true) ++ sample(non, cfg.seedNeg, y = false)
+    }
+    // R ids by token, for the hard negatives: R records that share a token with s
+    lazy val tokenIndex = ds.r.flatMap(rec => rec.tokenSet.map(_ -> rec.id)).groupMap(_._1)(_._2)
+    val pos = sample(ds.dups.toIndexedSeq.sorted.filterNot(ds.testSet.contains), cfg.seedPos, y = true)
+    val negs = mutable.LinkedHashSet.empty[(Int, Int)]
+    var attempts = 0
+    while (negs.size < cfg.seedNeg && attempts < cfg.seedNeg * 200) {
+      attempts += 1
+      val s = ds.s(rng.nextInt(ds.s.size))
+      val hard = negs.size % 2 == 0
+      val rIdOpt =
+        if (hard) {
+          val toks = s.tokenSet.toIndexedSeq
+          if (toks.isEmpty) None
+          else tokenIndex.get(toks(rng.nextInt(toks.length)))
+            .map(ids => ids(rng.nextInt(ids.length)))
+        } else Some(rng.nextInt(ds.r.size))
+      rIdOpt.foreach { rId =>
+        val pair = (rId, s.id)
+        if (!ds.dups.contains(pair) && !ds.testSet.contains(pair)) negs += pair
+      }
+    }
+    require(negs.size == cfg.seedNeg,
+      s"dataset ${ds.name}: found ${negs.size} of ${cfg.seedNeg} seed negatives")
+    pos ++ negs.toIndexedSeq.map { case (a, b) => LabeledPair(a, b, y = false) }
   }
 
   def run(method: String, ds: ERDataset, seed: IndexedSeq[LabeledPair], rounds: Int, budget: Int)

@@ -4,7 +4,7 @@ import java.util.IdentityHashMap
 import org.apache.spark.sql.SparkSession
 import repro.core.ActiveLearning.timed
 import repro.data.ERDataset
-import repro.index.{EmbView, NnIndex}
+import repro.index.EmbView
 import repro.rules.RulesBlocker
 import repro.text.HashEmbedding
 import repro.util.{Par, Rnd}
@@ -52,9 +52,6 @@ final case class DialConfig(
   * final train + block + match pass produces the end-of-AL evaluation.
   */
 final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
-  require(ds.r.nonEmpty, s"dataset ${ds.name}: the R list is empty")
-  require(ds.s.nonEmpty, s"dataset ${ds.name}: the S list is empty")
-
   val embedder: Embedder = Dial.embedderFor(ds, cfg.embedDim)
   val emb: HashEmbedding = embedder.emb
   val candSize: Int = math.round(cfg.candMult * ds.s.size).toInt
@@ -72,67 +69,6 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
   private def trainEx(lp: LabeledPair): TrainEx =
     TrainEx(embedder.rBase(lp.rId), embedder.sBase(lp.sId),
             scalars(lp.rId, lp.sId), if (lp.y) 1.0 else 0.0)
-
-  // ------------------------------------------------------------- seed set
-
-  /** Inverted token index over R for hard-negative seed sampling. */
-  private lazy val tokenIndex: Map[String, IndexedSeq[Int]] = {
-    val m = mutable.HashMap.empty[String, mutable.ArrayBuffer[Int]]
-    ds.r.foreach(rec => rec.tokenSet.foreach(t => m.getOrElseUpdate(t, mutable.ArrayBuffer.empty) += rec.id))
-    m.view.mapValues(_.toIndexedSeq).toMap
-  }
-
-  /** Initial labeled seed T: `seedPos` duplicates and `seedNeg` negatives
-    * sampled outside the test split. For the multilingual dataset the seed
-    * is built by probing a pretrained-embedding index, as in §4.5. Every
-    * call draws from a fresh generator, so T is a function of the config
-    * seed and the dataset.
-    */
-  def seedSet(): IndexedSeq[LabeledPair] = {
-    val rng = new Rnd.Gen(Rnd.combine(cfg.seed, Rnd.hash64(ds.name)))
-    if (ds.germanToEnglish.nonEmpty) return multilingualSeed(rng)
-    val dupSeq = ds.dups.toIndexedSeq.sorted.filterNot(ds.testSet.contains)
-    val pos = rng.sampleDistinct(dupSeq.length, math.min(cfg.seedPos, dupSeq.length))
-      .map(dupSeq).map { case (a, b) => LabeledPair(a, b, y = true) }
-    val negs = mutable.LinkedHashSet.empty[(Int, Int)]
-    var attempts = 0
-    while (negs.size < cfg.seedNeg && attempts < cfg.seedNeg * 200) {
-      attempts += 1
-      val s = ds.s(rng.nextInt(ds.s.size))
-      val hard = negs.size % 2 == 0
-      val rIdOpt =
-        if (hard) {
-          val toks = s.tokenSet.toIndexedSeq
-          if (toks.isEmpty) None
-          else tokenIndex.get(toks(rng.nextInt(toks.length)))
-            .map(ids => ids(rng.nextInt(ids.length)))
-        } else Some(rng.nextInt(ds.r.size))
-      rIdOpt.foreach { rId =>
-        val pair = (rId, s.id)
-        if (!ds.dups.contains(pair) && !ds.testSet.contains(pair)) negs += pair
-      }
-    }
-    require(negs.size == cfg.seedNeg,
-      s"dataset ${ds.name}: found ${negs.size} of ${cfg.seedNeg} seed negatives")
-    (pos.toIndexedSeq ++ negs.toIndexedSeq.map { case (a, b) => LabeledPair(a, b, y = false) })
-  }
-
-  /** §4.5 seed construction: probe a pretrained-embedding index with every s,
-    * split retrieved pairs by gold, sample 50/50.
-    */
-  private def multilingualSeed(rng: Rnd.Gen): IndexedSeq[LabeledPair] = {
-    val views = IndexedSeq(new PlainView)
-    val hits = NnIndex.probe(embedder.sBase, views, Blocker.buildIndexes(embedder.rBase, views), 3)
-    val retrieved = hits.indices.flatMap { sId =>
-      hits(sId).head.map { case (rId, _) => (rId, sId) }
-    }.filterNot(ds.testSet.contains)
-    val (dup, non) = retrieved.partition(ds.dups.contains)
-    val pos = rng.sampleDistinct(dup.length, math.min(cfg.seedPos, dup.length))
-      .map(dup).map { case (a, b) => LabeledPair(a, b, y = true) }
-    val neg = rng.sampleDistinct(non.length, math.min(cfg.seedNeg, non.length))
-      .map(non).map { case (a, b) => LabeledPair(a, b, y = false) }
-    pos.toIndexedSeq ++ neg
-  }
 
   // ------------------------------------------------------------- training
 
@@ -153,6 +89,11 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
   private def committeeViews(t: IndexedSeq[LabeledPair], matcher: Matcher, round: Int,
                              n: Int, maskP: Double, initSeed: Int, trainSeed: Int,
                              tc: Committee.TrainConfig): IndexedSeq[EmbView] = {
+    val mode = cfg.blockerMode.name
+    require(t.exists(_.y), s"dataset ${ds.name}: the $mode blocker trains on labeled duplicates, " +
+      "and T has none (as when no duplicate lies outside the test split, or seedPos = 0)")
+    require(tc.negMode == RandomNegs || t.exists(!_.y), s"dataset ${ds.name}: the $mode blocker " +
+      "trains on labeled negatives (LabeledNegs), and T has none (as when seedNeg = 0)")
     val com = Committee.init(n, d, maskP, Rnd.combine(cfg.seed, initSeed + round))
     val g = matcher.g
     def adapted(lp: LabeledPair) = (embedder.adaptedR(lp.rId, g), embedder.adaptedS(lp.sId, g))
@@ -198,7 +139,7 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
     * seconds, which count as every round's retrieval.
     */
   private lazy val fixedCand: (IndexedSeq[CandPair], Double) = timed(
-    if (cfg.blockerMode == RulesMode) Dial.rulesFor(spark, ds).map { case (a, b) => CandPair(a, b, 0.0) }
+    if (cfg.blockerMode == RulesMode) RulesBlocker.candidates(spark, ds).map { case (a, b) => CandPair(a, b, 0.0) }
     else retrieve(IndexedSeq(new PlainView)))
 
   // -------------------------------------------------------------- scoring
@@ -241,6 +182,9 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
 
   // ------------------------------------------------------------- the loop
 
+  /** This run's seed set T, a fresh [[ActiveLearning.seedSet]] draw on every call. */
+  def seedSet(): IndexedSeq[LabeledPair] = ActiveLearning.seedSet(ds, cfg, embedder)
+
   def run(): RunResult = {
     profiles // per-record precomputation, outside the Table 9 timers like the base embeddings
     ActiveLearning.run(cfg.blockerMode.name, ds, seedSet(), cfg.rounds, cfg.budget) { (t, round) =>
@@ -257,22 +201,16 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
   }
 }
 
-/** Per-dataset memos, keyed on the dataset instance: two generated datasets
+/** The per-dataset embedder memo, keyed on the dataset instance: two datasets
   * of equal name and sizes (e.g. two seeds at one scale) hold different
   * records, and an equality key would hash every record on each lookup.
   */
 object Dial {
   private val embedders = new IdentityHashMap[ERDataset, mutable.HashMap[Int, Embedder]]
-  private val rulesCache = new IdentityHashMap[ERDataset, IndexedSeq[(Int, Int)]]
 
   /** Base embeddings are a pure function of (dataset, dim) — share across runs. */
   def embedderFor(ds: ERDataset, dim: Int): Embedder = synchronized {
     embedders.computeIfAbsent(ds, _ => mutable.HashMap.empty).getOrElseUpdate(dim,
       new Embedder(new HashEmbedding(dim, 42L, ds.germanToEnglish), ds))
-  }
-
-  /** Rule candidate sets are fixed per dataset — share across runs. */
-  def rulesFor(spark: SparkSession, ds: ERDataset): IndexedSeq[(Int, Int)] = synchronized {
-    rulesCache.computeIfAbsent(ds, _ => RulesBlocker.candidates(spark, ds))
   }
 }

@@ -5,8 +5,8 @@ import org.apache.spark.sql.types._
 import repro.text.Tokenizer
 import repro.util.Rnd
 
-/** One entity record: `id` is unique within its list; `attrs` align with the
-  * dataset schema.
+/** One entity record: `id` is its position in its list (see [[ERDataset]]);
+  * `attrs` align with the dataset schema.
   */
 final case class Rec(id: Int, attrs: IndexedSeq[String]) {
   def tokenSet: Set[String] = Tokenizer.recordTokens(attrs).toSet
@@ -16,6 +16,9 @@ final case class TestPair(rId: Int, sId: Int, label: Boolean)
 
 /** A generated ER benchmark: two lists, gold duplicates, a DeepMatcher-style
   * labeled test split, and (for the multilingual dataset) the EN↔DE lexicon.
+  * A record's id is its position in its list, checked on construction: the
+  * embeddings, the probes, the pair-feature profiles and the seed sampler
+  * all index records by id.
   */
 final case class ERDataset(
     name: String,
@@ -26,8 +29,15 @@ final case class ERDataset(
     testPairs: IndexedSeq[TestPair],
     germanToEnglish: Map[String, String] = Map.empty,
 ) {
-  lazy val rById: Map[Int, Rec] = r.map(x => x.id -> x).toMap
-  lazy val sById: Map[Int, Rec] = s.map(x => x.id -> x).toMap
+  for ((list, recs) <- Seq("R" -> r, "S" -> s)) {
+    val bad = recs.indices.find(i => recs(i).id != i)
+    require(bad.isEmpty,
+      s"dataset $name: the $list list's record at position ${bad.get} has id ${recs(bad.get).id}, not its position")
+  }
+
+  /** The record with this id, which is its position. */
+  def rById(id: Int): Rec = r(id)
+  def sById(id: Int): Rec = s(id)
   lazy val testSet: Set[(Int, Int)] = testPairs.map(p => (p.rId, p.sId)).toSet
 
   private def toDF(spark: SparkSession, recs: IndexedSeq[Rec]): DataFrame = {

@@ -1,9 +1,10 @@
 package repro.forest
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{ActiveLearning, Dial, DialConfig, LabeledPair, RunResult, StageTimes}
+import repro.core.{ActiveLearning, DialConfig, LabeledPair, RunResult, StageTimes}
 import repro.core.ActiveLearning.timed
 import repro.data.ERDataset
+import repro.rules.RulesBlocker
 import repro.util.{Par, Rnd}
 import scala.collection.mutable
 
@@ -24,8 +25,11 @@ object RfAl {
     */
   def run(spark: SparkSession, ds: ERDataset,
           rounds: Int = DialConfig().rounds, budget: Int = DialConfig().budget): RunResult = {
-    val seedSet = new Dial(spark, ds, DialConfig(seed = Seed)).seedSet() // DIAL's seed-set sampler
-    val cand = Dial.rulesFor(spark, ds)
+    // the sampler evaluates an embedder only for the multilingual dataset,
+    // which has no rule candidates
+    val seedSet = ActiveLearning.seedSet(ds, DialConfig(seed = Seed),
+      throw new IllegalArgumentException(s"dataset ${ds.name}: the Random Forest has no multilingual seed set"))
+    val cand = RulesBlocker.candidates(spark, ds)
 
     val featCache = mutable.HashMap.empty[(Int, Int), Array[Double]]
     def feat(rId: Int, sId: Int): Array[Double] =

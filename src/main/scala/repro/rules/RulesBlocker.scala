@@ -1,5 +1,6 @@
 package repro.rules
 
+import java.util.IdentityHashMap
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.data.ERDataset
@@ -57,8 +58,16 @@ object RulesBlocker {
     r.join(s, "v").select("rid", "sid").distinct()
   }
 
-  /** The rule candidate pairs (rid, sid), collected to the driver. */
-  def candidates(spark: SparkSession, ds: ERDataset): IndexedSeq[(Int, Int)] = {
+  /** Candidate sets by dataset instance, keyed like `Dial`'s embedder memo. */
+  private val memo = new IdentityHashMap[ERDataset, IndexedSeq[(Int, Int)]]
+
+  /** The rule candidate pairs (rid, sid), collected from Spark once per
+    * dataset instance and shared by the Rules baseline and the Random Forest.
+    */
+  def candidates(spark: SparkSession, ds: ERDataset): IndexedSeq[(Int, Int)] =
+    synchronized(memo.computeIfAbsent(ds, _ => rulePairs(spark, ds)))
+
+  private def rulePairs(spark: SparkSession, ds: ERDataset): IndexedSeq[(Int, Int)] = {
     val rDf = ds.rDF(spark)
     val sDf = ds.sDF(spark)
     val pairs = ds.schema match {

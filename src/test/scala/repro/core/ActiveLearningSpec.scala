@@ -1,5 +1,6 @@
 package repro.core
 
+import java.io.{OutputStream, PrintStream}
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.{ERDataset, Rec, TestPair}
@@ -32,12 +33,13 @@ class ActiveLearningSpec extends AnyFunSuite {
   }
 
   /** Runs the loop with the stub round function, recording each call; the
-    * result is returned without its wall-clock stage times.
+    * result is returned without its wall-clock stage times. The loop's
+    * per-round progress lines are discarded.
     */
   private def run(c: Case): (RunResult, IndexedSeq[Call]) = {
     val all = for (r <- c.ds.r.indices; s <- c.ds.s.indices) yield (r, s)
     val calls = IndexedSeq.newBuilder[Call]
-    val out = ActiveLearning.run("stub", c.ds, c.seedT, c.rounds, c.budget) { (t, round) =>
+    val out = Console.withErr(Discard)(ActiveLearning.run("stub", c.ds, c.seedT, c.rounds, c.budget) { (t, round) =>
       val g = new Rnd.Gen(Rnd.combine(c.seed, round))
       val cand = g.sampleDistinct(all.length, g.nextInt(all.length + 1)).toIndexedSeq.map(all)
       val scored = cand.map { case (r, s) => ScoredCand(r, s, g.nextDouble(), g.nextDouble()) }
@@ -48,7 +50,7 @@ class ActiveLearningSpec extends AnyFunSuite {
         bootstrapProbs = cs => (1 to 3).map(k => cs.map(sc => (sc.prob * k + sc.dist) % 1.0).toArray))
       ActiveLearning.Round(cand, scored.map(_.prob),
         (idx, b) => Selectors.select(c.strategy, idx.map(scored), b, ctx), StageTimes(0, 0, 0, 0))
-    }
+    })
     (out.copy(stageTimes = IndexedSeq.empty), calls.result())
   }
 
@@ -95,6 +97,8 @@ class ActiveLearningSpec extends AnyFunSuite {
 }
 
 object ActiveLearningSpec {
+  private val Discard = new PrintStream(OutputStream.nullOutputStream())
+
   private final case class Case(ds: ERDataset, seedT: IndexedSeq[LabeledPair], rounds: Int,
                                 budget: Int, strategy: Strategy, seed: Long)
 

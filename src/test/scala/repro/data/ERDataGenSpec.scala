@@ -31,6 +31,14 @@ class ERDataGenSpec extends AnyFunSuite {
     }
   }
 
+  test("a list whose ids are not their positions fails, naming the dataset, the list and the index") {
+    val swapped = IndexedSeq(Rec(1, IndexedSeq("b")), Rec(0, IndexedSeq("a")))
+    val e = intercept[IllegalArgumentException](
+      ERDataset("swapped", IndexedSeq("title"), r = IndexedSeq(Rec(0, IndexedSeq("a"))), s = swapped,
+                dups = Set.empty, testPairs = IndexedSeq.empty))
+    assert(e.getMessage.contains("dataset swapped: the S list's record at position 0 has id 1"), e.getMessage)
+  }
+
   test("attrs align with schema") {
     all.foreach(ds => assert(ds.r.forall(_.attrs.length == ds.schema.length) &&
                              ds.s.forall(_.attrs.length == ds.schema.length), ds.name))

@@ -1,7 +1,7 @@
 package repro.forest
 
 import repro.SparkSpec
-import repro.core.{Dial, DialConfig, Metrics}
+import repro.core.{ActiveLearning, DialConfig, Metrics}
 import repro.data.ERDataGen
 import repro.rules.RulesBlocker
 import repro.util.Rnd
@@ -11,9 +11,12 @@ class RfAlSpec extends SparkSpec {
   private lazy val wa = ERDataGen.walmartAmazon(scale = 0.08)
   private lazy val cand = RulesBlocker.candidates(spark, wa)
 
-  /** Rule candidates outside the seed set (the run's default config) and the test split. */
+  /** The run's seed set, from the sampler every AL method starts from. */
+  private lazy val seedSet = ActiveLearning.seedSet(wa, DialConfig(seed = RfAl.Seed), fail("embedder read"))
+
+  /** Rule candidates outside the seed set and the test split. */
   private lazy val selectable: Int = {
-    val seed = new Dial(spark, wa, DialConfig()).seedSet().map(lp => (lp.rId, lp.sId)).toSet
+    val seed = seedSet.map(lp => (lp.rId, lp.sId)).toSet
     cand.count(p => !seed.contains(p) && !wa.testSet.contains(p))
   }
 
@@ -30,10 +33,9 @@ class RfAlSpec extends SparkSpec {
 
   test("the reported PRF is that of every candidate the forest votes a duplicate") {
     // with no labeling round the only forest is trained on the seed set
-    val seed = new Dial(spark, wa, DialConfig(seed = RfAl.Seed)).seedSet()
     def features(rId: Int, sId: Int) = SimFeatures.features(wa.r(rId).attrs, wa.s(sId).attrs)
-    val forest = RandomForest.fit(seed.map(lp => features(lp.rId, lp.sId)),
-      seed.map(lp => if (lp.y) 1.0 else 0.0), RfAl.NTrees, Rnd.combine(RfAl.Seed, 1))
+    val forest = RandomForest.fit(seedSet.map(lp => features(lp.rId, lp.sId)),
+      seedSet.map(lp => if (lp.y) 1.0 else 0.0), RfAl.NTrees, Rnd.combine(RfAl.Seed, 1))
     val predicted = cand.filter { case (a, b) => forest.voteFraction(features(a, b)) > 0.5 }.toSet
     assert(predicted.map(_._1).size < predicted.size, "no two predicted pairs share an R record")
     val r = RfAl.run(spark, wa, rounds = 0)
