@@ -42,33 +42,79 @@ object Blocker {
     else Integer.compare(a.sId, b.sId)
   }
 
+  /** The deduplicated hits of one chunk of S records, `n` of them: pair i
+    * is (`rIds(i)`, `sIds(i)`) at distance `dists(i)`.
+    */
+  private final class Union(val rIds: Array[Int], val sIds: Array[Int], val dists: Array[Double], val n: Int)
+
   /** CAND: every S record (`sBase`, indexed by S id) probes every member's
     * index for its top `k`; each (r, s) pair keeps its smallest distance
     * over the members, and the pairs ordered by (distance, r id, s id) are
-    * cut to the first `candSize`. An s has at most N·k hits, so its pairs
-    * are deduplicated by a scan over them. The pairs are sorted on the
-    * common fork-join pool (`Arrays.parallelSort`); the order is total, so
-    * CAND does not depend on the thread count.
+    * cut to the first `candSize`. The hits stay in primitive arrays: each
+    * chunk of S records is deduplicated concurrently (an s has at most N·k
+    * hits, so a scan over them suffices), the `candSize`-th smallest
+    * distance is found by a parallel sort of the distances, and only the
+    * pairs at or below it become [[CandPair]]s, sorted on the common
+    * fork-join pool. The order is total, so CAND does not depend on the
+    * thread count.
     */
   def retrieveCand(sBase: Array[Array[Double]], views: IndexedSeq[EmbView],
                    indexes: IndexedSeq[NnIndex], k: Int, candSize: Int): IndexedSeq[CandPair] = {
-    val hits = NnIndex.probe(sBase, views, indexes, k)
-    val union = Array.newBuilder[CandPair]
-    val cap = indexes.map(ix => math.min(math.max(k, 0), ix.size)).sum
-    val rIds = new Array[Int](cap)
-    val dists = new Array[Double](cap)
-    hits.indices.foreach { sId =>
+    val hits = NnIndex.probeHits(sBase, views, indexes, k)
+    val cap = hits.map(_.headOption.fold(0)(_.perQuery)).sum
+    val chunks = Par.tabulate((sBase.length + NnIndex.Chunk - 1) / NnIndex.Chunk) { c =>
+      val from = c * NnIndex.Chunk
+      val until = math.min(from + NnIndex.Chunk, sBase.length)
+      val rIds = new Array[Int]((until - from) * cap)
+      val sIds = new Array[Int](rIds.length)
+      val dists = new Array[Double](rIds.length)
       var n = 0
-      hits(sId).foreach(_.foreach { case (rId, d) =>
-        var i = 0
-        while (i < n && rIds(i) != rId) i += 1
-        if (i == n) { rIds(n) = rId; dists(n) = d; n += 1 }
-        else if (d < dists(i)) dists(i) = d
-      })
-      var i = 0
-      while (i < n) { union += CandPair(rIds(i), sId, dists(i)); i += 1 }
+      var sId = from
+      while (sId < until) {
+        val first = n
+        hits.foreach { byChunk =>
+          val h = byChunk(c)
+          val at = (sId - from) * h.perQuery
+          var i = at
+          while (i < at + h.perQuery) {
+            val rId = h.ids(i); val d = h.dists(i)
+            var j = first
+            while (j < n && rIds(j) != rId) j += 1
+            if (j == n) { rIds(n) = rId; sIds(n) = sId; dists(n) = d; n += 1 }
+            else if (d < dists(j)) dists(j) = d
+            i += 1
+          }
+        }
+        sId += 1
+      }
+      new Union(rIds, sIds, dists, n)
     }
-    val sorted = union.result()
+    cut(chunks, candSize)
+  }
+
+  /** The first `candSize` pairs of `chunks` by (distance, r id, s id). */
+  private def cut(chunks: IndexedSeq[Union], candSize: Int): IndexedSeq[CandPair] = {
+    val total = chunks.map(_.n).sum
+    if (candSize <= 0 || total == 0) return IndexedSeq.empty
+    // the candSize-th smallest distance, in Double.compare order, bounds CAND
+    val limit =
+      if (total <= candSize) Double.NaN // the greatest distance under Double.compare
+      else {
+        val dists = new Array[Double](total)
+        var at = 0
+        chunks.foreach { u => System.arraycopy(u.dists, 0, dists, at, u.n); at += u.n }
+        java.util.Arrays.parallelSort(dists)
+        dists(candSize - 1)
+      }
+    val kept = Array.newBuilder[CandPair]
+    chunks.foreach { u =>
+      var i = 0
+      while (i < u.n) {
+        if (java.lang.Double.compare(u.dists(i), limit) <= 0) kept += CandPair(u.rIds(i), u.sIds(i), u.dists(i))
+        i += 1
+      }
+    }
+    val sorted = kept.result()
     java.util.Arrays.parallelSort(sorted, byDistThenIds)
     sorted.take(candSize).toIndexedSeq
   }

@@ -60,8 +60,7 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
   /** Pair-feature profiles of R then S, indexed like the base embeddings.
     * They belong to this run: built on first use, dropped with the `Dial`.
     */
-  private lazy val profiles: IndexedSeq[RecordProfile] =
-    embedder.featurizer.profiles((ds.r ++ ds.s).map(_.attrs))
+  private lazy val profiles: IndexedSeq[RecordProfile] = embedder.profiles()
 
   private def scalars(rId: Int, sId: Int): Array[Double] =
     PairFeatures.scalars(profiles(rId), profiles(ds.r.size + sId))

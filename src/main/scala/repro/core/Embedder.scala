@@ -20,11 +20,39 @@ final class Embedder(val emb: HashEmbedding, val ds: ERDataset) {
   val rBase: Array[Array[Double]] = Par.tabulate(ds.r.size)(i => emb.recordVec(ds.r(i).attrs)).toArray
   val sBase: Array[Array[Double]] = Par.tabulate(ds.s.size)(i => emb.recordVec(ds.s(i).attrs)).toArray
 
-  /** Corpus-IDF pair featurizer shared by the matcher paths (DESIGN.md §2:
-    * the proxy for pretrained attention knowing which tokens are informative).
+  /** The dataset's [[TokenDictionary]], over R then S, and each record's
+    * sorted token ranks, R then S by id; every record is tokenised once,
+    * concurrently.
     */
-  val featurizer: PairFeaturizer =
-    new PairFeaturizer(PairFeatures.idfFrom((ds.r ++ ds.s).map(_.tokenSet)))
+  private[core] val (dictionary, ranks) = {
+    val toks = Par.tabulate(ds.r.size + ds.s.size) { i =>
+      TokenDictionary.distinctTokens(if (i < ds.r.size) ds.r(i).attrs else ds.s(i - ds.r.size).attrs)
+    }
+    val dict = new TokenDictionary(toks)
+    (dict, Par.tabulate(toks.length)(i => dict.ranks(toks(i))))
+  }
+
+  /** Corpus IDF by token rank, log(1 + N/df) over the N records of R and S,
+    * df the number of records that hold the token (DESIGN.md §2: the proxy
+    * for pretrained attention knowing which tokens are informative).
+    */
+  private[core] val idf: Array[Double] = {
+    val df = new Array[Int](dictionary.tokens.length)
+    ranks.foreach(_.foreach(r => df(r) += 1))
+    val n = ranks.length
+    df.map(c => math.log(1.0 + n.toDouble / c))
+  }
+
+  /** The corpus IDF as a two-record pair featurizer, for pairs scored by
+    * their attributes alone (`MatcherScorer`).
+    */
+  lazy val featurizer: PairFeaturizer = new PairFeaturizer(dictionary.tokens.iterator.zip(idf.iterator).toMap)
+
+  /** Pair-feature profiles of R then S, indexed like the base embeddings,
+    * assembled concurrently from the dictionary on every call; any two of
+    * them pair.
+    */
+  def profiles(): IndexedSeq[RecordProfile] = Par.tabulate(ranks.length)(i => dictionary.profile(ranks(i), idf))
 
   def adaptedR(id: Int, g: Array[Double]): Array[Double] = Vec.had(g, rBase(id))
   def adaptedS(id: Int, g: Array[Double]): Array[Double] = Vec.had(g, sBase(id))

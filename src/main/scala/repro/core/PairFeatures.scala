@@ -28,16 +28,9 @@ import scala.collection.mutable
 object PairFeatures {
   val nScalar = 7
 
-  /** Build IDF weights log(1 + N/df) from a corpus of records' token sets. */
-  def idfFrom(tokenSets: Iterable[Set[String]]): Map[String, Double] = {
-    val df = mutable.HashMap.empty[String, Int]
-    var n = 0
-    tokenSets.foreach { ts => n += 1; ts.foreach(t => df(t) = df.getOrElse(t, 0) + 1) }
-    df.iterator.map { case (t, c) => t -> math.log(1.0 + n.toDouble / c) }.toMap
-  }
-
   /** The seven features of a pair whose profiles come from one
-    * [[PairFeaturizer.profiles]] call (or one [[PairFeaturizer.scalars]]).
+    * [[TokenDictionary]]: the dataset's, in [[Embedder]], or the one of a
+    * [[PairFeaturizer.profiles]] or [[PairFeaturizer.scalars]] call.
     *
     * Jaccard and overlap values are ratios of integer counts. The
     * IDF-weighted Jaccard and the alignment score are floating-point sums,
@@ -155,8 +148,9 @@ object PairFeatures {
   * the record, ascending by id: the local indices (positions in `toks`) of
   * the tokens that hold it, ascending, at `postToks(postStart(g) until
   * postStart(g + 1))`. A token's rank is its position among the sorted
-  * distinct tokens of the call that built the profile, and trigram ids are
-  * interned by that call; profiles pair only with profiles of the same call.
+  * distinct tokens of the [[TokenDictionary]] that built the profile, and
+  * trigram ids are interned by it; profiles pair only with profiles of the
+  * same dictionary.
   */
 final class RecordProfile private[core] (
     private[core] val toks: Array[Int],
@@ -171,75 +165,123 @@ final class RecordProfile private[core] (
   private[core] val hasDigit: Boolean = isDigit.exists(identity)
 }
 
-final class PairFeaturizer(idf: Map[String, Double]) extends Serializable {
-  private val defaultIdf: Double =
-    if (idf.isEmpty) 1.0 else idf.values.max // unseen tokens are maximally rare
-
-  private def w(t: String): Double = idf.getOrElse(t, defaultIdf)
-
-  /** Features of one pair, profiling just these two records. */
-  def scalars(rAttrs: Seq[String], sAttrs: Seq[String]): Array[Double] = {
-    val toks = IndexedSeq(rAttrs, sAttrs).map(PairFeaturizer.distinctTokens)
-    val dict = new PairFeaturizer.Dictionary(this, toks)
-    PairFeatures.scalars(dict.profile(0), dict.profile(1))
+/** The token dictionary of a list of records, given as each record's
+  * distinct tokens: the distinct tokens of all of them, sorted
+  * (`String.compareTo`), and by rank each token's digit flag and sorted
+  * distinct trigram ids, trigrams interned once per distinct token. The
+  * dataset's dictionary lives in [[Embedder]]; [[PairFeaturizer]] builds
+  * one over the records of each call. Only reads after construction, so
+  * `ranks` and `profile` may run concurrently.
+  */
+private[core] final class TokenDictionary(records: IndexedSeq[Array[String]]) {
+  val tokens: Array[String] = {
+    val distinct = new java.util.HashSet[String]
+    records.foreach(_.foreach(distinct.add))
+    distinct.toArray(new Array[String](0)).sorted
+  }
+  private val rankOf = new java.util.HashMap[String, Integer](2 * tokens.length)
+  tokens.indices.foreach(i => rankOf.put(tokens(i), i))
+  private val digit = tokens.map(_.exists(_.isDigit))
+  private val grams = {
+    val gramIds = new mutable.LongMap[Int]
+    tokens.map { t =>
+      val padded = "##" + t + "##"
+      val ids = Array.tabulate(padded.length - 2) { i =>
+        val key = (padded.charAt(i).toLong << 32) | (padded.charAt(i + 1).toLong << 16) | padded.charAt(i + 2)
+        gramIds.getOrElseUpdate(key, gramIds.size)
+      }
+      TokenDictionary.sortedDistinct(ids)
+    }
   }
 
-  /** Profiles of `records` under one dictionary, so that any two of them
-    * pair. Tokenising and assembling run concurrently per record; ranking
-    * the tokens and interning the trigrams run on the caller's thread.
+  /** The ranks of the distinct tokens `toks`, which this dictionary holds, ascending. */
+  def ranks(toks: Array[String]): Array[Int] = {
+    val out = new Array[Int](toks.length)
+    var i = 0
+    while (i < toks.length) { out(i) = rankOf.get(toks(i)).intValue; i += 1 }
+    java.util.Arrays.sort(out)
+    out
+  }
+
+  /** The profile of the record whose distinct tokens have the ascending
+    * `ranks`, with token weights `weight` by rank.
     */
-  def profiles(records: IndexedSeq[Seq[String]]): IndexedSeq[RecordProfile] = {
-    val toks = Par.tabulate(records.length)(i => PairFeaturizer.distinctTokens(records(i)))
-    val dict = new PairFeaturizer.Dictionary(this, toks)
-    Par.tabulate(records.length)(dict.profile)
+  def profile(ranks: Array[Int], weight: Array[Double]): RecordProfile = {
+    val nt = ranks.length
+    val weights = new Array[Double](nt)
+    val nGrams = new Array[Int](nt)
+    val isDigit = new Array[Boolean](nt)
+    var total = 0
+    var t = 0
+    while (t < nt) {
+      val r = ranks(t)
+      weights(t) = weight(r); nGrams(t) = grams(r).length; isDigit(t) = digit(r)
+      total += nGrams(t)
+      t += 1
+    }
+    // (trigram id, local token index) pairs, sorted: the postings in order
+    val keys = new Array[Long](total)
+    var k = 0
+    t = 0
+    while (t < nt) {
+      val g = grams(ranks(t))
+      var i = 0
+      while (i < g.length) { keys(k) = (g(i).toLong << 32) | t; k += 1; i += 1 }
+      t += 1
+    }
+    java.util.Arrays.sort(keys)
+    val postToks = new Array[Int](total)
+    val recGrams = new Array[Int](total)
+    val postStart = new Array[Int](total + 1)
+    var n = 0
+    k = 0
+    while (k < total) {
+      val g = (keys(k) >>> 32).toInt
+      postToks(k) = keys(k).toInt
+      if (n == 0 || recGrams(n - 1) != g) { recGrams(n) = g; postStart(n) = k; n += 1 }
+      k += 1
+    }
+    postStart(n) = total
+    new RecordProfile(ranks, weights, nGrams, isDigit,
+                      java.util.Arrays.copyOf(recGrams, n), java.util.Arrays.copyOf(postStart, n + 1), postToks)
   }
 }
 
-object PairFeaturizer {
+object TokenDictionary {
 
-  private def distinctTokens(attrs: Seq[String]): Array[String] = Tokenizer.recordTokens(attrs).distinct
-
-  /** The distinct tokens of `records`, sorted, with each one's weight,
-    * sorted distinct trigram ids and digit flag by rank. `profile` only
-    * reads and may run concurrently.
-    */
-  private final class Dictionary(f: PairFeaturizer, records: IndexedSeq[Array[String]]) {
-    private val sorted = records.iterator.flatten.distinct.toArray.sorted
-    private val rank = sorted.iterator.zipWithIndex.toMap
-    private val weight = sorted.map(f.w)
-    private val digit = sorted.map(_.exists(_.isDigit))
-    private val grams = {
-      val gramIds = mutable.HashMap.empty[String, Int]
-      def gramId(g: String) = gramIds.getOrElseUpdate(g, gramIds.size)
-      sorted.map(t => sortedDistinct(Tokenizer.trigrams(t).map(gramId)))
-    }
-
-    def profile(i: Int): RecordProfile = {
-      val ids = records(i).map(rank)
-      java.util.Arrays.sort(ids)
-      // (trigram id, local token index) pairs, sorted: the postings in order
-      val keys = ids.indices.toArray.flatMap(t => grams(ids(t)).map(g => (g.toLong << 32) | t))
-      java.util.Arrays.sort(keys)
-      val postToks = keys.map(_.toInt)
-      val recGrams = new Array[Int](keys.length)
-      val postStart = new Array[Int](keys.length + 1)
-      var n = 0
-      var k = 0
-      while (k < keys.length) {
-        val g = (keys(k) >>> 32).toInt
-        if (n == 0 || recGrams(n - 1) != g) { recGrams(n) = g; postStart(n) = k; n += 1 }
-        k += 1
-      }
-      postStart(n) = keys.length
-      new RecordProfile(ids, ids.map(weight(_)), ids.map(grams(_).length), ids.map(digit(_)),
-                        java.util.Arrays.copyOf(recGrams, n), java.util.Arrays.copyOf(postStart, n + 1), postToks)
-    }
-  }
+  /** The distinct tokens of one record, in order of first appearance. */
+  def distinctTokens(attrs: Seq[String]): Array[String] = Tokenizer.recordTokens(attrs).distinct
 
   private def sortedDistinct(xs: Array[Int]): Array[Int] = {
     java.util.Arrays.sort(xs)
     var n = 0
     xs.indices.foreach { k => if (k == 0 || xs(k) != xs(k - 1)) { xs(n) = xs(k); n += 1 } }
     java.util.Arrays.copyOf(xs, n)
+  }
+}
+
+final class PairFeaturizer(idf: Map[String, Double]) extends Serializable {
+  private val defaultIdf: Double =
+    if (idf.isEmpty) 1.0 else idf.values.max // unseen tokens are maximally rare
+
+  private def weights(dict: TokenDictionary): Array[Double] = dict.tokens.map(t => idf.getOrElse(t, defaultIdf))
+
+  /** Features of one pair, profiling just these two records. */
+  def scalars(rAttrs: Seq[String], sAttrs: Seq[String]): Array[Double] = {
+    val toks = IndexedSeq(rAttrs, sAttrs).map(TokenDictionary.distinctTokens)
+    val dict = new TokenDictionary(toks)
+    val w = weights(dict)
+    PairFeatures.scalars(dict.profile(dict.ranks(toks(0)), w), dict.profile(dict.ranks(toks(1)), w))
+  }
+
+  /** Profiles of `records` under one dictionary, so that any two of them
+    * pair. Tokenising and assembling run concurrently per record; the
+    * dictionary is built on the caller's thread.
+    */
+  def profiles(records: IndexedSeq[Seq[String]]): IndexedSeq[RecordProfile] = {
+    val toks = Par.tabulate(records.length)(i => TokenDictionary.distinctTokens(records(i)))
+    val dict = new TokenDictionary(toks)
+    val w = weights(dict)
+    Par.tabulate(records.length)(i => dict.profile(dict.ranks(toks(i)), w))
   }
 }

@@ -201,4 +201,112 @@ class NnIndexSpec extends AnyFunSuite {
       sameBits(idx.search(q, k), ref.search(q, k), s"k=$k")
     assert(idx.search(nanQuery, 3).forall(_._2.isNaN))
   }
+
+  // ------------------------------------------- the float32 screen is exact
+
+  private def float32Score(q: Array[Double], x: Array[Double]): Float = {
+    var acc = 0.0f
+    q.indices.foreach { i => val t = q(i).toFloat - x(i).toFloat; acc += t * t }
+    acc
+  }
+
+  test("float32 scores that swap the order of two double distances still give the exact hits") {
+    val u = math.pow(2, -23)
+    val y = math.sqrt(0.6 * u)
+    for (d <- Seq(2, 7, 64)) {
+      val q = new Array[Double](d)
+      // a rounds up to float 1 + 2⁻²³, b's first entry down to 1; b's float
+      // score 1 + 2⁻²³ is the smaller, but a's double distance is
+      val a = Array.tabulate(d)(i => if (i == 0) 1 + 0.51 * u else 0.0)
+      val b = Array.tabulate(d)(i => if (i == 0) 1 + 0.49 * u else if (i == 1) y else 0.0)
+      assert(float32Score(q, b) < float32Score(q, a) && Vec.distSq(q, a) < Vec.distSq(q, b))
+      val far = randomPoints(40, d, 40L + d).map(_.map(_ + 3.0))
+      for (vecs <- Seq(Array(b, a) ++ far, far ++ Array(a, b), Array(b) ++ far ++ Array(a))) {
+        val ids = Array.tabulate(vecs.length)(identity)
+        val idx = new ExactIndex(ids, vecs)
+        val ref = new ReferenceIndex.RowMajor(ids, vecs)
+        for (k <- Seq(1, 2, 5)) sameBits(idx.search(q, k), ref.search(q, k), s"d=$d k=$k")
+        assert(idx.search(q, 1).head._1 == vecs.indexWhere(_ eq a))
+      }
+    }
+  }
+
+  test("vectors one ulp apart, with equal float32 scores, keep their exact order and ties") {
+    val g = new Rnd.Gen(41)
+    for (d <- Seq(3, 8, 17, 64)) {
+      val x = Array.fill(d)(g.nextGaussian())
+      // x itself three times, and copies nudged one ulp up or down in one entry
+      val variants = Array.fill(3)(x.clone()) ++ Array.tabulate(12) { i =>
+        val v = x.clone()
+        val j = i % d
+        v(j) = if (i % 2 == 0) Math.nextUp(v(j)) else Math.nextDown(v(j))
+        v
+      }
+      val vecs = (variants ++ randomPoints(30, d, 42L + d)).map(v => (g.nextDouble(), v)).sortBy(_._1).map(_._2)
+      val ids = Array.tabulate(vecs.length)(i => 2 * i)
+      val idx = new ExactIndex(ids, vecs)
+      val ref = new ReferenceIndex.RowMajor(ids, vecs)
+      val near = x.map(_ + 1e-3)
+      for (q <- Seq(x, near, x.map(-_)); k <- Seq(1, 2, 3, 4, 9, 15, vecs.length + 2))
+        sameBits(idx.search(q, k), ref.search(q, k), s"d=$d k=$k")
+    }
+  }
+
+  test("the screen stays exact for magnitudes far from one, subnormal ones included") {
+    val g = new Rnd.Gen(43)
+    for (scale <- Seq(1e-310, 1e-300, 1e-40, 1e-20, 1e-5, 1e5, 1e15, 1e18, 1e19, 1e30, 1e200); d <- Seq(3, 64)) {
+      val n = 120
+      val vecs = randomPoints(n, d, 44L + d).map(_.map(_ * scale))
+      vecs(7) = vecs(3).clone() // an exact tie
+      val ids = Array.tabulate(n)(identity)
+      val idx = new ExactIndex(ids, vecs)
+      val ref = new ReferenceIndex.RowMajor(ids, vecs)
+      val queries = Seq(Array.fill(d)(g.nextGaussian() * scale), vecs(3), vecs(50).map(_ * (1 + 1e-12)))
+      for (q <- queries; k <- Seq(1, 3, 20, n + 4))
+        sameBits(idx.search(q, k), ref.search(q, k), s"scale=$scale d=$d k=$k")
+    }
+  }
+
+  test("grid points with many exact ties, at dimensions not a multiple of four and k > n") {
+    val g = new Rnd.Gen(45)
+    for (d <- Seq(1, 2, 3, 5, 6, 7, 9); n <- Seq(1, 2, 10, 257)) {
+      val vecs = Array.fill(n)(Array.fill(d)((g.nextInt(5) - 2).toDouble))
+      val ids = Array.tabulate(n)(identity)
+      val idx = new ExactIndex(ids, vecs)
+      val ref = new ReferenceIndex.RowMajor(ids, vecs)
+      val queries = Seq(Array.fill(d)(0.0), Array.fill(d)((g.nextInt(5) - 2).toDouble), Array.fill(d)(0.5))
+      for (q <- queries; k <- Seq(1, 4, n, n + 3).distinct)
+        sameBits(idx.search(q, k), ref.search(q, k), s"d=$d n=$n k=$k")
+    }
+  }
+
+  test("the screen equals the reference over random scales, sizes and near-duplicates (scalacheck)") {
+    import org.scalacheck.{Gen, Prop, Test}
+    val cases = for {
+      n <- Gen.choose(1, 300)
+      d <- Gen.choose(1, 70)
+      k <- Gen.choose(1, n + 3)
+      exp <- Gen.frequency(6 -> Gen.choose(-40, 40), 1 -> Gen.choose(-1070, -900), 1 -> Gen.choose(60, 1000))
+      seed <- Gen.choose(0L, Long.MaxValue)
+    } yield (n, d, k, exp, seed)
+    val prop = Prop.forAllNoShrink(cases) { case (n, d, k, exp, seed) =>
+      val g = new Rnd.Gen(seed)
+      val scale = math.pow(2, exp)
+      val vecs = Array.fill(n)(Array.fill(d)(g.nextGaussian() * scale))
+      // near-duplicates: copies of earlier vectors, nudged one ulp in one entry
+      (1 until n by 3).foreach { i =>
+        val v = vecs(g.nextInt(i)).clone()
+        val j = g.nextInt(d)
+        v(j) = Math.nextUp(v(j))
+        vecs(i) = v
+      }
+      val ids = Array.tabulate(n)(identity)
+      val idx = new ExactIndex(ids, vecs)
+      val ref = new ReferenceIndex.RowMajor(ids, vecs)
+      val queries = Seq(Array.fill(d)(g.nextGaussian() * scale), vecs(g.nextInt(n)))
+      queries.forall(q => bits(idx.search(q, k)) == bits(ref.search(q, k)))
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(500), prop)
+    assert(res.passed, res.status.toString)
+  }
 }

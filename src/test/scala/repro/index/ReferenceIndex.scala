@@ -25,6 +25,12 @@ object ReferenceIndex {
       }
       top.result()
     }
+
+    override def searchInto(q: Array[Double], k: Int, outIds: Array[Int], outDists: Array[Double], at: Int): Int = {
+      val hits = search(q, k)
+      hits.indices.foreach { i => outIds(at + i) = hits(i)._1; outDists(at + i) = hits(i)._2 }
+      hits.length
+    }
   }
 
   def probe(queries: Array[Array[Double]], views: IndexedSeq[EmbView],
