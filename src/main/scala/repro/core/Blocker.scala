@@ -27,10 +27,8 @@ object Blocker {
     * ([[NnIndex.project]]). Each index is a pure function of its view, so
     * the members' indexes are built concurrently.
     */
-  def buildIndexes(rBase: Array[Array[Double]], views: IndexedSeq[EmbView]): IndexedSeq[NnIndex] = {
-    val ids = Array.tabulate(rBase.length)(identity)
-    Par.tabulate(views.length)(k => new ExactIndex(ids, NnIndex.project(views(k), rBase)): NnIndex)
-  }
+  def buildIndexes(rBase: Array[Array[Double]], views: IndexedSeq[EmbView]): IndexedSeq[NnIndex] =
+    Par.tabulate(views.length)(k => new ExactIndex(NnIndex.project(views(k), rBase)): NnIndex)
 
   /** CAND ordering: distance, then R id, then S id (a total order, since
     * the pairs are distinct, so any sort of them gives one result).

@@ -28,7 +28,7 @@ final class Matcher(val d: Int, seed: Long) extends Serializable {
 
   val g: Array[Double] = Array.fill(d)(1.0)
   val nIn: Int = 2 * d + PairFeatures.nScalar
-  val mlp = new Mlp(nIn, NHidden, Rnd.combine(seed, 0xABCL))
+  val mlp = new Mlp(nIn, Rnd.combine(seed, 0xABCL))
 
   private val adamHead = new Adam(mlp.nParams, HeadLr)
   private val adamG = new Adam(d, GLr, weightDecay = 0.0)
@@ -77,10 +77,11 @@ final class Matcher(val d: Int, seed: Long) extends Serializable {
   /** Mini-batch AdamW training (Eq. 6). When `trainG` is false the simulated
     * transformer stays frozen (the paper's multilingual configuration).
     *
-    * Targets are label-smoothed (ε = 0.1): with a few hundred labels the
-    * head would otherwise saturate every pair to probability 0/1, which
-    * collapses the entropy ranking that uncertainty sampling (Eq. 4) relies
-    * on — no marginal duplicate would ever look informative.
+    * Targets are label-smoothed (ε = 0.1) for the final all-pairs F1 (W-A:
+    * 74.9, against 71.7 at ε = 0). It does not make uncertainty sampling
+    * (Eq. 4) find positives: |T_p| went 64, 65, 66, 110, against 64, 64, 64,
+    * 75, as thousands of CAND negatives sit near p = 0.5 and outrank the
+    * positives at 0.8 or more (a prior shift; DESIGN.md §4b).
     */
   def train(data: IndexedSeq[TrainEx], epochs: Int, batch: Int, rng: Rnd.Gen,
             trainG: Boolean = true): Double = {
@@ -123,10 +124,9 @@ final class Matcher(val d: Int, seed: Long) extends Serializable {
 }
 
 object Matcher {
-  /** AdamW learning rates of the head and of Θ(g), and the head's width. */
+  /** AdamW learning rates of the head and of Θ(g). */
   private[core] val HeadLr = 0.02
   private[core] val GLr = 0.004
-  private val NHidden = 32
   /** Label-smoothing ε of the training targets. */
   private[core] val LabelSmooth = 0.1
 }

@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.text.Tokenizer
-import repro.util.Par
 import scala.collection.mutable
 
 /** Schema-agnostic scalar similarity features of a record pair, standing in
@@ -30,7 +29,7 @@ object PairFeatures {
 
   /** The seven features of a pair whose profiles come from one
     * [[TokenDictionary]]: the dataset's, in [[Embedder]], or the one of a
-    * [[PairFeaturizer.profiles]] or [[PairFeaturizer.scalars]] call.
+    * [[PairFeaturizer.scalars]] call.
     *
     * Jaccard and overlap values are ratios of integer counts. The
     * IDF-weighted Jaccard and the alignment score are floating-point sums,
@@ -264,24 +263,11 @@ final class PairFeaturizer(idf: Map[String, Double]) extends Serializable {
   private val defaultIdf: Double =
     if (idf.isEmpty) 1.0 else idf.values.max // unseen tokens are maximally rare
 
-  private def weights(dict: TokenDictionary): Array[Double] = dict.tokens.map(t => idf.getOrElse(t, defaultIdf))
-
   /** Features of one pair, profiling just these two records. */
   def scalars(rAttrs: Seq[String], sAttrs: Seq[String]): Array[Double] = {
     val toks = IndexedSeq(rAttrs, sAttrs).map(TokenDictionary.distinctTokens)
     val dict = new TokenDictionary(toks)
-    val w = weights(dict)
+    val w = dict.tokens.map(t => idf.getOrElse(t, defaultIdf))
     PairFeatures.scalars(dict.profile(dict.ranks(toks(0)), w), dict.profile(dict.ranks(toks(1)), w))
-  }
-
-  /** Profiles of `records` under one dictionary, so that any two of them
-    * pair. Tokenising and assembling run concurrently per record; the
-    * dictionary is built on the caller's thread.
-    */
-  def profiles(records: IndexedSeq[Seq[String]]): IndexedSeq[RecordProfile] = {
-    val toks = Par.tabulate(records.length)(i => TokenDictionary.distinctTokens(records(i)))
-    val dict = new TokenDictionary(toks)
-    val w = weights(dict)
-    Par.tabulate(records.length)(i => dict.profile(dict.ranks(toks(i)), w))
   }
 }

@@ -15,12 +15,19 @@ import scala.collection.mutable
   * "Random" = Table 5's "Contrastive") are computed once per JVM.
   *
   * Every AL method runs [[DialConfig]]'s schedule (4 rounds × 192 labels).
-  * Env knob: REPRO_SCALE (dataset scale, default 1.0 of the DESIGN.md §4
-  * sizes).
+  * Env knob: REPRO_SCALE (dataset scale, a positive finite number; default
+  * 1.0 of the DESIGN.md §4 sizes).
   */
 object Experiments {
 
-  val scale: Double = sys.env.getOrElse("REPRO_SCALE", "1.0").toDouble
+  /** REPRO_SCALE, read when a table first needs its datasets. */
+  lazy val scale: Double = parseScale(sys.env.get("REPRO_SCALE"))
+
+  /** A REPRO_SCALE value: 1.0 when unset, else a positive finite number. */
+  private[exp] def parseScale(value: Option[String]): Double = value.fold(1.0) { v =>
+    v.toDoubleOption.filter(x => x > 0 && x < Double.PositiveInfinity).getOrElse(
+      throw new IllegalArgumentException(s"REPRO_SCALE must be a positive finite number, got '$v'"))
+  }
 
   lazy val benchmarks: IndexedSeq[ERDataset] = ERDataGen.benchmarks(scale)
   lazy val multilingual: ERDataset = ERDataGen.multilingualDefault(scale = scale)

@@ -4,7 +4,8 @@ import repro.util.Rnd
 
 /** CART decision tree with gini impurity and random feature subsets at each
   * split (the randomisation that makes a forest, per Breiman). Trees are
-  * immutable after fitting.
+  * immutable after fitting. One shape: depth at most 12, at least 2 rows
+  * per child of a split, and √F of the F features tried at each split.
   */
 sealed trait TreeNode
 final case class Leaf(prob: Double) extends TreeNode
@@ -13,7 +14,8 @@ final case class Split(feature: Int, threshold: Double,
 
 object DecisionTree {
 
-  final case class Config(maxDepth: Int = 12, minLeaf: Int = 2, featureSubset: Int = 0)
+  private val MaxDepth = 12
+  private[forest] val MinLeaf = 2
 
   def predict(node: TreeNode, x: Array[Double]): Double = node match {
     case Leaf(p) => p
@@ -24,11 +26,10 @@ object DecisionTree {
     * (bootstrap sample indices).
     */
   def fit(xs: IndexedSeq[Array[Double]], ys: IndexedSeq[Double], idx: Array[Int],
-          cfg: Config, rng: Rnd.Gen): TreeNode = {
+          rng: Rnd.Gen): TreeNode = {
     require(xs.nonEmpty && xs.length == ys.length, "bad training data")
     val nF = xs.head.length
-    val subset = if (cfg.featureSubset > 0) cfg.featureSubset
-                 else math.max(1, math.sqrt(nF.toDouble).round.toInt)
+    val subset = math.max(1, math.sqrt(nF.toDouble).round.toInt)
 
     def gini(pos: Int, n: Int): Double = {
       if (n == 0) 0.0
@@ -38,7 +39,7 @@ object DecisionTree {
     def build(ids: Array[Int], depth: Int): TreeNode = {
       val n = ids.length
       val pos = ids.count(i => ys(i) > 0.5)
-      if (depth >= cfg.maxDepth || n < 2 * cfg.minLeaf || pos == 0 || pos == n)
+      if (depth >= MaxDepth || n < 2 * MinLeaf || pos == 0 || pos == n)
         return Leaf(pos.toDouble / math.max(1, n))
 
       val feats = rng.sampleDistinct(nF, math.min(subset, nF))
@@ -58,7 +59,7 @@ object DecisionTree {
               if (xs(i)(f) <= t) { ln += 1; if (ys(i) > 0.5) lpos += 1 }
             }
             val rn = n - ln
-            if (ln >= cfg.minLeaf && rn >= cfg.minLeaf) {
+            if (ln >= MinLeaf && rn >= MinLeaf) {
               val childImp = (ln * gini(lpos, ln) + rn * gini(pos - lpos, rn)) / n
               val gain = parentImp - childImp
               if (gain > bestGain) { bestGain = gain; bestF = f; bestT = t }

@@ -21,13 +21,15 @@ final class RandomForest(val trees: IndexedSeq[TreeNode]) {
 }
 
 object RandomForest {
-  /** Fit `nTrees` on bootstrap resamples of (xs, ys). */
-  def fit(xs: IndexedSeq[Array[Double]], ys: IndexedSeq[Double],
-          nTrees: Int, seed: Long): RandomForest = {
-    val trees = (0 until nTrees).map { t =>
+  /** Trees per forest. */
+  private[forest] val NTrees = 20
+
+  /** Fit [[NTrees]] trees on bootstrap resamples of (xs, ys). */
+  def fit(xs: IndexedSeq[Array[Double]], ys: IndexedSeq[Double], seed: Long): RandomForest = {
+    val trees = (0 until NTrees).map { t =>
       val rng = new Rnd.Gen(Rnd.combine(seed, t))
       val boot = Array.fill(xs.length)(rng.nextInt(xs.length))
-      DecisionTree.fit(xs, ys, boot, DecisionTree.Config(), rng)
+      DecisionTree.fit(xs, ys, boot, rng)
     }
     new RandomForest(trees.toIndexedSeq)
   }

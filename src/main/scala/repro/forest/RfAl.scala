@@ -15,8 +15,6 @@ import scala.collection.mutable
   */
 object RfAl {
 
-  /** Trees per forest. */
-  private[forest] val NTrees = 20
   /** Seed of the seed set and of every forest. */
   private[forest] val Seed = 7L
 
@@ -38,7 +36,7 @@ object RfAl {
 
     def train(data: IndexedSeq[LabeledPair], roundSeed: Long): RandomForest =
       RandomForest.fit(data.map(lp => feat(lp.rId, lp.sId)),
-                       data.map(lp => if (lp.y) 1.0 else 0.0), NTrees, roundSeed)
+                       data.map(lp => if (lp.y) 1.0 else 0.0), roundSeed)
 
     // the candidates' features, fixed for the run; their time counts as
     // every round's retrieval

@@ -26,13 +26,13 @@ trait NnIndex {
   /** Number of indexed vectors. */
   def size: Int
 
-  /** Writes the `k` nearest ids by squared L2 distance, ascending, and
-    * their distances to `ids` and `dists` from position `at`; returns how
-    * many it wrote: min(k, size), or 0 when `k` ≤ 0.
+  /** Writes the `k` nearest positions by squared L2 distance, ascending,
+    * and their distances to `ids` and `dists` from position `at`; returns
+    * how many it wrote: min(k, size), or 0 when `k` ≤ 0.
     */
   def searchInto(q: Array[Double], k: Int, ids: Array[Int], dists: Array[Double], at: Int): Int
 
-  /** The `k` nearest ids by squared L2 distance, ascending. */
+  /** The `k` nearest positions by squared L2 distance, ascending. */
   def search(q: Array[Double], k: Int): Array[(Int, Double)] = {
     val kk = math.max(0, math.min(k, size))
     val ids = new Array[Int](kk)
@@ -92,8 +92,8 @@ object NnIndex {
     }
   }
 
-  /** The hits of [[probeHits]] as (id, distance) pairs, per query and then
-    * per member.
+  /** The hits of [[probeHits]] as (position, distance) pairs, per query and
+    * then per member.
     */
   def probe(queries: Array[Array[Double]], views: IndexedSeq[EmbView],
             indexes: IndexedSeq[NnIndex], k: Int): IndexedSeq[IndexedSeq[Array[(Int, Double)]]] = {
@@ -125,13 +125,11 @@ object NnIndex {
       ds(i) = d; ids(i) = id
       if (n < k) n += 1
     }
-
-    def result(): Array[(Int, Double)] = Array.tabulate(n)(i => (ids(i), ds(i)))
   }
 }
 
-/** Exhaustive exact k-NN (FAISS `IndexFlatL2` equivalent): a float32
-  * screen, then an exact double re-rank.
+/** Exhaustive exact k-NN over list positions (FAISS `IndexFlatL2`
+  * equivalent): a float32 screen, then an exact double re-rank.
   *
   * The index keeps the caller's double rows (not copied) and a float32 copy
   * of them stored column by column, one array per dimension. A search first
@@ -173,11 +171,8 @@ object NnIndex {
   * is when k ≥ n or d = 0; NaN distances therefore reach the top k as in a
   * row-by-row search.
   */
-final class ExactIndex(idsIn: Array[Int], vecsIn: Array[Array[Double]]) extends NnIndex {
-  require(idsIn.length == vecsIn.length, "ids/vectors length mismatch")
-  private val ids = idsIn
-  private val rows = vecsIn
-  private val n = ids.length
+final class ExactIndex(rows: Array[Array[Double]]) extends NnIndex {
+  private val n = rows.length
   private val dim = if (n == 0) 0 else rows(0).length
   require(rows.forall(_.length == dim), s"indexed vectors differ in length (expected $dim)")
   private val cols: Array[Array[Float]] = Array.tabulate(dim) { i =>
@@ -208,7 +203,7 @@ final class ExactIndex(idsIn: Array[Int], vecsIn: Array[Array[Double]]) extends 
     var c = 0
     while (c < nc) {
       val j = cand(c)
-      top.offer(ids(j), Vec.distSq(q, rows(j)))
+      top.offer(j, Vec.distSq(q, rows(j)))
       c += 1
     }
     System.arraycopy(top.ids, 0, outIds, at, kk)

@@ -13,20 +13,22 @@ import repro.util.Rnd
   * the driver; instances stay serializable for the benchmark replay's Spark
   * scoring scan (`SparkKnn.scorePairs`).
   */
-final class Mlp(val nIn: Int, val nHidden: Int, seed: Long) extends Serializable {
-  def nParams: Int = nHidden * nIn + nHidden + nHidden + 1
+final class Mlp(val nIn: Int, seed: Long) extends Serializable {
+  import Mlp.NHidden
 
-  /** W1 (nHidden x nIn, row-major), then b1 (nHidden), w2 (nHidden) and b2. */
+  def nParams: Int = NHidden * nIn + NHidden + NHidden + 1
+
+  /** W1 (NHidden x nIn, row-major), then b1 (NHidden), w2 (NHidden) and b2. */
   val params: Array[Double] = new Array[Double](nParams)
-  private val b1Off = nHidden * nIn
-  private val w2Off = b1Off + nHidden
+  private val b1Off = NHidden * nIn
+  private val w2Off = b1Off + NHidden
   private val b2Off = nParams - 1
 
   {
     val g1 = new Rnd.Gen(Rnd.combine(seed, 1))
     for (i <- 0 until b1Off) params(i) = g1.nextGaussian() / math.sqrt(nIn.toDouble)
     val g2 = new Rnd.Gen(Rnd.combine(seed, 2))
-    for (j <- 0 until nHidden) params(w2Off + j) = g2.nextGaussian() / math.sqrt(nHidden.toDouble)
+    for (j <- 0 until NHidden) params(w2Off + j) = g2.nextGaussian() / math.sqrt(NHidden.toDouble)
   }
 
   /** Hidden activations h = tanh(W1 x + b1). Exposed for BADGE's gradient
@@ -37,9 +39,9 @@ final class Mlp(val nIn: Int, val nHidden: Int, seed: Long) extends Serializable
     */
   def hidden(x: Array[Double]): Array[Double] = {
     require(x.length == nIn, s"hidden: expected $nIn inputs, got ${x.length}")
-    val h = new Array[Double](nHidden)
+    val h = new Array[Double](NHidden)
     var j = 0
-    while (j + 4 <= nHidden) {
+    while (j < NHidden) {
       val o0 = j * nIn; val o1 = o0 + nIn; val o2 = o1 + nIn; val o3 = o2 + nIn
       var s0 = params(b1Off + j); var s1 = params(b1Off + j + 1)
       var s2 = params(b1Off + j + 2); var s3 = params(b1Off + j + 3)
@@ -54,21 +56,13 @@ final class Mlp(val nIn: Int, val nHidden: Int, seed: Long) extends Serializable
       h(j + 2) = FdLibm.tanh(s2); h(j + 3) = FdLibm.tanh(s3)
       j += 4
     }
-    while (j < nHidden) {
-      var s = params(b1Off + j)
-      val off = j * nIn
-      var i = 0
-      while (i < nIn) { s += params(off + i) * x(i); i += 1 }
-      h(j) = FdLibm.tanh(s)
-      j += 1
-    }
     h
   }
 
   /** The output layer's logit w2 · h + b2 over hidden activations `h`. */
   def outLogit(h: Array[Double]): Double = {
     var s = 0.0; var j = 0
-    while (j < nHidden) { s += params(w2Off + j) * h(j); j += 1 }
+    while (j < NHidden) { s += params(w2Off + j) * h(j); j += 1 }
     s + params(b2Off)
   }
 
@@ -90,7 +84,7 @@ final class Mlp(val nIn: Int, val nHidden: Int, seed: Long) extends Serializable
     val gxOut = new Array[Double](nIn)
     // output layer
     var j = 0
-    while (j < nHidden) {
+    while (j < NHidden) {
       gFlat(w2Off + j) += dScore * h(j)
       j += 1
     }
@@ -98,7 +92,7 @@ final class Mlp(val nIn: Int, val nHidden: Int, seed: Long) extends Serializable
     // hidden layer
     def dH(j: Int): Double = dScore * params(w2Off + j) * (1.0 - h(j) * h(j))
     j = 0
-    while (j + 4 <= nHidden) {
+    while (j < NHidden) {
       val d0 = dH(j); val d1 = dH(j + 1); val d2 = dH(j + 2); val d3 = dH(j + 3)
       gFlat(b1Off + j) += d0; gFlat(b1Off + j + 1) += d1
       gFlat(b1Off + j + 2) += d2; gFlat(b1Off + j + 3) += d3
@@ -114,23 +108,14 @@ final class Mlp(val nIn: Int, val nHidden: Int, seed: Long) extends Serializable
       }
       j += 4
     }
-    while (j < nHidden) {
-      val d0 = dH(j)
-      gFlat(b1Off + j) += d0
-      val off = j * nIn
-      var i = 0
-      while (i < nIn) {
-        gFlat(off + i) += d0 * x(i)
-        gxOut(i) += d0 * params(off + i)
-        i += 1
-      }
-      j += 1
-    }
     gxOut
   }
 }
 
 object Mlp {
+  /** Hidden units, a multiple of four (see [[Mlp.hidden]]). */
+  final val NHidden = 32
+
   def sigmoid(z: Double): Double =
     if (z >= 0) 1.0 / (1.0 + math.exp(-z))
     else { val e = math.exp(z); e / (1.0 + e) }

@@ -10,13 +10,6 @@ object Vec {
 
   def zeros(n: Int): Array[Double] = new Array[Double](n)
 
-  def dot(a: Array[Double], b: Array[Double]): Double = {
-    require(a.length == b.length, s"dot: ${a.length} vs ${b.length}")
-    var s = 0.0; var i = 0
-    while (i < a.length) { s += a(i) * b(i); i += 1 }
-    s
-  }
-
   /** a += alpha * b */
   def axpyI(a: Array[Double], alpha: Double, b: Array[Double]): Unit = {
     require(a.length == b.length, s"axpy: ${a.length} vs ${b.length}")
@@ -37,9 +30,11 @@ object Vec {
     out
   }
 
-  def l2sq(a: Array[Double]): Double = dot(a, a)
-
-  def l2(a: Array[Double]): Double = math.sqrt(l2sq(a))
+  def l2(a: Array[Double]): Double = {
+    var s = 0.0; var i = 0
+    while (i < a.length) { s += a(i) * a(i); i += 1 }
+    math.sqrt(s)
+  }
 
   /** Squared euclidean distance — the paper's blocker similarity is its negation. */
   def distSq(a: Array[Double], b: Array[Double]): Double = {

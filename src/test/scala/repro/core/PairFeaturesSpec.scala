@@ -64,6 +64,13 @@ final class SetPairFeaturizer(idf: Map[String, Double]) {
   }
 }
 
+/** [[PairFeatures]] equals [[SetPairFeaturizer]] exactly, through both
+  * dictionaries the program builds: the dataset's, whose profiles
+  * [[Embedder]] assembles, and the two-record one of a
+  * [[PairFeaturizer.scalars]] call. Profiles under a dictionary of more
+  * records than the pair (`sharedProfiles`) rank and intern the same
+  * tokens under other ids.
+  */
 class PairFeaturesSpec extends AnyFunSuite {
 
   /** Index of the first feature that differs under `==`, or -1. */
@@ -75,12 +82,21 @@ class PairFeaturesSpec extends AnyFunSuite {
   private def idfOf(ds: ERDataset): Map[String, Double] = PairFeatures.idfFrom((ds.r ++ ds.s).map(_.tokenSet))
 
   /** CAND of an untrained single-view retrieval, as `Blocker.retrieveCand` returns it. */
-  private def retrievedCand(ds: ERDataset): IndexedSeq[CandPair] = {
-    val emb = new HashEmbedding(64, 42L, ds.germanToEnglish)
-    val embedder = new Embedder(emb, ds)
+  private def retrievedCand(embedder: Embedder): IndexedSeq[CandPair] = {
     val views = IndexedSeq(new PlainView)
     Blocker.retrieveCand(embedder.sBase, views, Blocker.buildIndexes(embedder.rBase, views),
-                         k = 3, candSize = 3 * ds.s.size)
+                         k = 3, candSize = 3 * embedder.ds.s.size)
+  }
+
+  /** Profiles of `records` under one dictionary over all of them, weighted
+    * by `idf` as [[PairFeaturizer]] weights them, so that any two pair.
+    */
+  private def sharedProfiles(idf: Map[String, Double], records: IndexedSeq[Seq[String]]): IndexedSeq[RecordProfile] = {
+    val toks = records.map(TokenDictionary.distinctTokens)
+    val dict = new TokenDictionary(toks)
+    val unseen = if (idf.isEmpty) 1.0 else idf.values.max
+    val w = dict.tokens.map(t => idf.getOrElse(t, unseen))
+    toks.map(t => dict.profile(dict.ranks(t), w))
   }
 
   Seq(
@@ -94,8 +110,9 @@ class PairFeaturesSpec extends AnyFunSuite {
       val idf = idfOf(ds)
       val featurizer = new PairFeaturizer(idf)
       val reference = new SetPairFeaturizer(idf)
-      val profiles = featurizer.profiles((ds.r ++ ds.s).map(_.attrs))
-      val cand = retrievedCand(ds)
+      val embedder = new Embedder(new HashEmbedding(64, 42L, ds.germanToEnglish), ds)
+      val profiles = embedder.profiles()
+      val cand = retrievedCand(embedder)
       assert(cand.nonEmpty)
       val mismatches = cand.iterator.flatMap { c =>
         val r = ds.r(c.rId).attrs; val s = ds.s(c.sId).attrs
@@ -140,12 +157,12 @@ class PairFeaturesSpec extends AnyFunSuite {
     ws <- Gen.listOfN(seen.size, Gen.choose(0.1, 9.0))
   } yield seen.iterator.zip(ws.iterator).toMap
 
-  private def agrees(featurizer: PairFeaturizer, reference: SetPairFeaturizer,
+  private def agrees(idf: Map[String, Double],
                      r: IndexedSeq[String], s: IndexedSeq[String], other: IndexedSeq[String]): Boolean = {
-    val want = reference.scalars(r, s)
+    val want = new SetPairFeaturizer(idf).scalars(r, s)
     // a larger batch interns the tokens under other ids
-    val batch = featurizer.profiles(IndexedSeq(other, s, r))
-    firstDiff(featurizer.scalars(r, s), want) < 0 &&
+    val batch = sharedProfiles(idf, IndexedSeq(other, s, r))
+    firstDiff(new PairFeaturizer(idf).scalars(r, s), want) < 0 &&
       firstDiff(PairFeatures.scalars(batch(2), batch(1)), want) < 0
   }
 
@@ -160,17 +177,13 @@ class PairFeaturesSpec extends AnyFunSuite {
 
   test("profile features equal the set definition on generated records (scalacheck)") {
     check(Prop.forAllNoShrink(genIdf, genRecord, genRecord, genRecord) { (idf, r, s, other) =>
-      val featurizer = new PairFeaturizer(idf)
-      val reference = new SetPairFeaturizer(idf)
-      agrees(featurizer, reference, r, s, other) && agrees(featurizer, reference, s, r, other)
+      agrees(idf, r, s, other) && agrees(idf, s, r, other)
     })
   }
 
   test("a featurizer with uniform IDF equals the set definition (scalacheck)") {
-    val featurizer = new PairFeaturizer(Map.empty)
-    val reference = new SetPairFeaturizer(Map.empty)
     check(Prop.forAllNoShrink(genRecord, genRecord, genRecord) { (r, s, other) =>
-      agrees(featurizer, reference, r, s, other)
+      agrees(Map.empty, r, s, other)
     })
   }
 
@@ -222,7 +235,7 @@ class PairFeaturesSpec extends AnyFunSuite {
     ).foreach { case (r, s) =>
       Seq((r, s), (s, r)).foreach { case (a, b) =>
         val want = reference.scalars(a, b)
-        val batch = featurizer.profiles(IndexedSeq(b, Seq("aaa x 2000 dog"), a))
+        val batch = sharedProfiles(idf, IndexedSeq(b, Seq("aaa x 2000 dog"), a))
         Seq(featurizer.scalars(a, b), PairFeatures.scalars(batch(2), batch(0))).foreach { got =>
           assert(firstDiff(got, want) < 0, s"$a vs $b: ${show(got)} vs ${show(want)}")
         }

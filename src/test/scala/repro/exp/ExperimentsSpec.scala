@@ -36,6 +36,36 @@ class ExperimentsSpec extends SparkSpec {
       "DIAL (N=10)       0.02    0.01    0.01    0.03    0.01   |      :    90.8     8.2    15.8   263.1    42.0"))
   }
 
+  test("REPRO_SCALE accepts a positive finite number and defaults to 1") {
+    assert(Experiments.parseScale(None) == 1.0)
+    assert(Experiments.parseScale(Some("4")) == 4.0)
+    assert(Experiments.parseScale(Some("0.25")) == 0.25)
+    assert(Experiments.parseScale(Some("1e-3")) == 1e-3)
+  }
+
+  test("REPRO_SCALE rejects a non-number, zero, a negative, NaN and infinity, naming the variable and value") {
+    Seq("abc", "", "1.0x", "0", "-0.0", "-2", "NaN", "Infinity", "-Infinity").foreach { v =>
+      val e = intercept[IllegalArgumentException](Experiments.parseScale(Some(v)))
+      assert(e.getMessage.contains("REPRO_SCALE") && e.getMessage.contains(s"'$v'"), e.getMessage)
+    }
+  }
+
+  test("cfgFor: Abt-Buy takes k = 20 and CAND = 20·|S|, MultiLingual a frozen g, the rest the defaults") {
+    val all = ERDataGen.benchmarks(scale = 0.05) :+ ERDataGen.multilingualDefault(scale = 0.05)
+    assert(all.map(_.name).toSet == Set("Walmart-Amazon", "Amazon-Google", "DBLP-ACM", "DBLP-Scholar",
+                                       "Abt-Buy", "MultiLingual"))
+    all.foreach { ds =>
+      val cfg = Experiments.cfgFor(ds)
+      ds.name match {
+        case "Abt-Buy" =>
+          assert(cfg == DialConfig(k = 20, candMult = 20.0))
+          assert(new Dial(spark, ds, cfg).candSize == 20 * ds.s.size)
+        case "MultiLingual" => assert(cfg == DialConfig(trainG = false))
+        case _ => assert(cfg == DialConfig(), ds.name)
+      }
+    }
+  }
+
   test("the run memo tells apart datasets of equal name and sizes") {
     val a = ERDataGen.walmartAmazon(seed = 11, scale = 0.05)
     val b = ERDataGen.walmartAmazon(seed = 12, scale = 0.05)

@@ -3,6 +3,9 @@ package repro.forest
 import org.scalatest.funsuite.AnyFunSuite
 import repro.util.Rnd
 
+/** The similarity features, and the one tree shape and forest size the
+  * Random Forest baseline fits.
+  */
 class ForestSpec extends AnyFunSuite {
 
   // ---------------------------------------------------------- SimFeatures
@@ -44,10 +47,10 @@ class ForestSpec extends AnyFunSuite {
     (xs, ys)
   }
 
-  test("tree fits XOR (non-linear) with full feature set") {
+  // √2 rounds to one: each split tries one of the two features at random
+  test("tree fits XOR (non-linear) with one random feature per split") {
     val (xs, ys) = xor(300, 1)
-    val tree = DecisionTree.fit(xs, ys, xs.indices.toArray,
-      DecisionTree.Config(maxDepth = 6, featureSubset = 2), new Rnd.Gen(2))
+    val tree = DecisionTree.fit(xs, ys, xs.indices.toArray, new Rnd.Gen(2))
     val acc = xs.indices.count(i => (DecisionTree.predict(tree, xs(i)) > 0.5) == (ys(i) > 0.5)).toDouble / xs.size
     assert(acc > 0.9, s"XOR accuracy $acc")
   }
@@ -55,32 +58,30 @@ class ForestSpec extends AnyFunSuite {
   test("pure node becomes a leaf") {
     val xs = IndexedSeq(Array(1.0), Array(2.0), Array(3.0))
     val ys = IndexedSeq(1.0, 1.0, 1.0)
-    val tree = DecisionTree.fit(xs, ys, xs.indices.toArray, DecisionTree.Config(), new Rnd.Gen(3))
+    val tree = DecisionTree.fit(xs, ys, xs.indices.toArray, new Rnd.Gen(3))
     assert(tree.isInstanceOf[Leaf])
     assert(DecisionTree.predict(tree, Array(9.0)) == 1.0)
   }
 
-  test("maxDepth 0 yields a leaf with the class prior") {
-    val xs = IndexedSeq(Array(0.0), Array(1.0), Array(2.0), Array(3.0))
-    val ys = IndexedSeq(1.0, 1.0, 0.0, 0.0)
-    val tree = DecisionTree.fit(xs, ys, xs.indices.toArray,
-      DecisionTree.Config(maxDepth = 0), new Rnd.Gen(4))
-    assert(tree == Leaf(0.5))
+  test("a node too small for two minimum leaves is a leaf with the class prior") {
+    val xs = IndexedSeq.tabulate(2 * DecisionTree.MinLeaf - 1)(i => Array(i.toDouble))
+    val ys = xs.indices.map(i => if (i == 0) 1.0 else 0.0)
+    val tree = DecisionTree.fit(xs, ys, xs.indices.toArray, new Rnd.Gen(4))
+    assert(tree == Leaf(1.0 / xs.size))
   }
 
   test("a single split separates a threshold rule") {
     val xs = (0 until 100).map(i => Array(i / 100.0))
     val ys = xs.map(x => if (x(0) > 0.6) 1.0 else 0.0)
-    val tree = DecisionTree.fit(xs, ys, xs.indices.toArray,
-      DecisionTree.Config(maxDepth = 3, featureSubset = 1), new Rnd.Gen(5))
+    val tree = DecisionTree.fit(xs, ys, xs.indices.toArray, new Rnd.Gen(5))
     val acc = xs.indices.count(i => (DecisionTree.predict(tree, xs(i)) > 0.5) == (ys(i) > 0.5)).toDouble / xs.size
     assert(acc > 0.97, s"threshold accuracy $acc")
   }
 
   test("tree fitting is deterministic in the rng seed") {
     val (xs, ys) = xor(100, 6)
-    val a = DecisionTree.fit(xs, ys, xs.indices.toArray, DecisionTree.Config(), new Rnd.Gen(7))
-    val b = DecisionTree.fit(xs, ys, xs.indices.toArray, DecisionTree.Config(), new Rnd.Gen(7))
+    val a = DecisionTree.fit(xs, ys, xs.indices.toArray, new Rnd.Gen(7))
+    val b = DecisionTree.fit(xs, ys, xs.indices.toArray, new Rnd.Gen(7))
     assert(a == b)
   }
 
@@ -88,8 +89,8 @@ class ForestSpec extends AnyFunSuite {
 
   test("forest improves on hard noise and exposes vote fractions in [0,1]") {
     val (xs, ys) = xor(300, 8)
-    val f = RandomForest.fit(xs, ys, nTrees = 15, seed = 9)
-    assert(f.trees.length == 15)
+    val f = RandomForest.fit(xs, ys, seed = 9)
+    assert(f.trees.length == RandomForest.NTrees)
     xs.take(20).foreach { x =>
       val v = f.voteFraction(x)
       assert(v >= 0.0 && v <= 1.0)
@@ -100,14 +101,14 @@ class ForestSpec extends AnyFunSuite {
 
   test("bootstrap trees differ") {
     val (xs, ys) = xor(200, 12)
-    val f = RandomForest.fit(xs, ys, nTrees = 5, seed = 13)
+    val f = RandomForest.fit(xs, ys, seed = 13)
     assert(f.trees.distinct.size > 1)
   }
 
   test("forest is deterministic in seed") {
     val (xs, ys) = xor(80, 14)
-    val a = RandomForest.fit(xs, ys, 5, seed = 15)
-    val b = RandomForest.fit(xs, ys, 5, seed = 15)
+    val a = RandomForest.fit(xs, ys, seed = 15)
+    val b = RandomForest.fit(xs, ys, seed = 15)
     assert(a.trees == b.trees)
   }
 }

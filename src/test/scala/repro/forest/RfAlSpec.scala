@@ -35,7 +35,7 @@ class RfAlSpec extends SparkSpec {
     // with no labeling round the only forest is trained on the seed set
     def features(rId: Int, sId: Int) = SimFeatures.features(wa.r(rId).attrs, wa.s(sId).attrs)
     val forest = RandomForest.fit(seedSet.map(lp => features(lp.rId, lp.sId)),
-      seedSet.map(lp => if (lp.y) 1.0 else 0.0), RfAl.NTrees, Rnd.combine(RfAl.Seed, 1))
+      seedSet.map(lp => if (lp.y) 1.0 else 0.0), Rnd.combine(RfAl.Seed, 1))
     val predicted = cand.filter { case (a, b) => forest.voteFraction(features(a, b)) > 0.5 }.toSet
     assert(predicted.map(_._1).size < predicted.size, "no two predicted pairs share an R record")
     val r = RfAl.run(spark, wa, rounds = 0)

@@ -12,7 +12,7 @@ class SparkKnnSpec extends SparkSpec {
   private lazy val ds = ERDataGen.walmartAmazon(scale = 0.08)
   private lazy val emb = new HashEmbedding(d = 16, seed = 42)
   private lazy val rVecs = ds.r.map(rec => emb.recordVec(rec.attrs)).toArray
-  private lazy val index = new ExactIndex(Array.tabulate(ds.r.size)(identity), rVecs)
+  private lazy val index = new ExactIndex(rVecs)
 
   /** The single-view scan: plain base embeddings against `index`. */
   private def retrievePlain(sDf: DataFrame, k: Int) =

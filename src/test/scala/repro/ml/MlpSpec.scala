@@ -37,13 +37,13 @@ class MlpSpec extends AnyFunSuite {
   }
 
   test("prob is sigmoid of score") {
-    val mlp = new Mlp(3, 2, seed = 3)
+    val mlp = new Mlp(3, seed = 3)
     val x = Array(0.1, -0.2, 0.5)
     assert(math.abs(mlp.prob(x) - Mlp.sigmoid(mlp.outLogit(mlp.hidden(x)))) < 1e-12)
   }
 
   test("backprop parameter gradient matches finite differences (y=1)") {
-    val mlp = new Mlp(4, 3, seed = 4)
+    val mlp = new Mlp(4, seed = 4)
     val g = new Rnd.Gen(11)
     val x = Array.fill(4)(g.nextGaussian())
     val analytic = new Array[Double](mlp.nParams)
@@ -56,7 +56,7 @@ class MlpSpec extends AnyFunSuite {
   }
 
   test("backprop parameter gradient matches finite differences (y=0)") {
-    val mlp = new Mlp(6, 5, seed = 5)
+    val mlp = new Mlp(6, seed = 5)
     val g = new Rnd.Gen(12)
     val x = Array.fill(6)(g.nextGaussian())
     val analytic = new Array[Double](mlp.nParams)
@@ -68,7 +68,7 @@ class MlpSpec extends AnyFunSuite {
   }
 
   test("backprop input gradient matches finite differences") {
-    val mlp = new Mlp(5, 4, seed = 6)
+    val mlp = new Mlp(5, seed = 6)
     val g = new Rnd.Gen(13)
     val x = Array.fill(5)(g.nextGaussian())
     val dummy = new Array[Double](mlp.nParams)
@@ -83,7 +83,7 @@ class MlpSpec extends AnyFunSuite {
   }
 
   test("hidden returns tanh activations in [-1,1]") {
-    val mlp = new Mlp(4, 8, seed = 7)
+    val mlp = new Mlp(4, seed = 7)
     val h = mlp.hidden(Array(10.0, -10.0, 3.0, 0.0))
     assert(h.forall(v => v >= -1.0 && v <= 1.0))
   }
@@ -94,7 +94,7 @@ class MlpSpec extends AnyFunSuite {
       val x = Array(g.nextGaussian(), g.nextGaussian())
       (x, if (x(0) + x(1) > 0) 1.0 else 0.0)
     }
-    val mlp = new Mlp(2, 8, seed = 8)
+    val mlp = new Mlp(2, seed = 8)
     val adam = new Adam(mlp.nParams, 0.05)
     (1 to 200).foreach { _ =>
       val grad = new Array[Double](mlp.nParams)
@@ -107,8 +107,8 @@ class MlpSpec extends AnyFunSuite {
   }
 
   test("seeds give different initialisations") {
-    val a = new Mlp(3, 2, seed = 1)
-    val b = new Mlp(3, 2, seed = 2)
+    val a = new Mlp(3, seed = 1)
+    val b = new Mlp(3, seed = 2)
     assert(a.params.toSeq != b.params.toSeq)
   }
 }

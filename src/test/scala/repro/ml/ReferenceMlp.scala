@@ -10,10 +10,10 @@ package repro.ml
 object ReferenceMlp {
 
   def hidden(m: Mlp, x: Array[Double]): Array[Double] = {
-    val p = m.params; val b1Off = m.nHidden * m.nIn
-    val h = new Array[Double](m.nHidden)
+    val p = m.params; val b1Off = Mlp.NHidden * m.nIn
+    val h = new Array[Double](Mlp.NHidden)
     var j = 0
-    while (j < m.nHidden) {
+    while (j < Mlp.NHidden) {
       var s = p(b1Off + j)
       val off = j * m.nIn
       var i = 0
@@ -25,9 +25,9 @@ object ReferenceMlp {
   }
 
   def outLogit(m: Mlp, h: Array[Double]): Double = {
-    val w2Off = m.nHidden * m.nIn + m.nHidden
+    val w2Off = Mlp.NHidden * m.nIn + Mlp.NHidden
     var s = 0.0; var j = 0
-    while (j < m.nHidden) { s += m.params(w2Off + j) * h(j); j += 1 }
+    while (j < Mlp.NHidden) { s += m.params(w2Off + j) * h(j); j += 1 }
     s + m.params(m.nParams - 1)
   }
 
@@ -36,7 +36,7 @@ object ReferenceMlp {
   def prob(m: Mlp, x: Array[Double]): Double = Mlp.sigmoid(score(m, x))
 
   def backprop(m: Mlp, x: Array[Double], y: Double, gFlat: Array[Double]): Array[Double] = {
-    val params = m.params; val nIn = m.nIn; val nHidden = m.nHidden
+    val params = m.params; val nIn = m.nIn; val nHidden = Mlp.NHidden
     val b1Off = nHidden * nIn; val w2Off = b1Off + nHidden; val b2Off = m.nParams - 1
     val h = hidden(m, x)
     val p = Mlp.sigmoid(outLogit(m, h))

@@ -7,18 +7,6 @@ class VecSpec extends AnyFunSuite {
 
   test("zeros") { assert(Vec.zeros(4).toSeq == Seq(0.0, 0.0, 0.0, 0.0)) }
 
-  test("dot of orthogonal vectors is 0") {
-    assert(Vec.dot(Array(1.0, 0.0), Array(0.0, 5.0)) == 0.0)
-  }
-
-  test("dot basic") {
-    assert(math.abs(Vec.dot(Array(1.0, 2.0, 3.0), Array(4.0, 5.0, 6.0)) - 32.0) < eps)
-  }
-
-  test("dot rejects length mismatch") {
-    intercept[IllegalArgumentException](Vec.dot(Array(1.0), Array(1.0, 2.0)))
-  }
-
   test("axpyI adds scaled vector in place") {
     val a = Array(1.0, 2.0)
     Vec.axpyI(a, 2.0, Array(3.0, 4.0))
@@ -36,8 +24,10 @@ class VecSpec extends AnyFunSuite {
   }
 
   test("l2sq and l2") {
-    assert(math.abs(Vec.l2sq(Array(3.0, 4.0)) - 25.0) < eps)
-    assert(math.abs(Vec.l2(Array(3.0, 4.0)) - 5.0) < eps)
+    val a = Array(3.0, 4.0)
+    assert(math.abs(Vec.l2(a) * Vec.l2(a) - 25.0) < eps)
+    assert(math.abs(Vec.l2(a) - 5.0) < eps)
+    assert(Vec.l2(Array.empty[Double]) == 0.0)
   }
 
   test("distSq is symmetric and zero at identity") {
